@@ -24,7 +24,6 @@ from .linalg_core import (
 )
 from .flag_boundary import (
     Flag,
-    FlagPair,
     act,
     cell_margin,
     flag_distance,
@@ -40,7 +39,6 @@ from .sections_cocycles import (
     Section,
     best_section,
     cocycle,
-    compact_coords,
     compact_section,
     covering_family,
     eval_section,

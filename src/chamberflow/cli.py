@@ -19,7 +19,6 @@ import numpy as np
 from . import verify as verify_mod
 from .errors import ChamberflowError
 from .linalg_core import (
-    AMElement,
     Config,
     GroupElement,
     bruhat_lu,
@@ -28,14 +27,13 @@ from .linalg_core import (
     iwasawa_kan_minus,
     jordan_projection,
 )
-from .flag_boundary import Flag, cell_margin, flag_distance, is_transverse, minor_margin
-from .sections_cocycles import Section, cocycle, compact_section
-from .loxodromy import classify, delta_r_eps
+from .flag_boundary import Flag, cell_margin, is_transverse, minor_margin
+from .sections_cocycles import cocycle, compact_section
+from .loxodromy import classify
 from .schottky_dynamics import (
     SchottkyFamily,
     build_schottky,
     chamber_coords,
-    cone_interior,
     decorrelation_discret_check,
     jordan_line_density_probe,
     limit_cone,
@@ -395,49 +393,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     schottky = add_parser(sub, "schottky", help="Schottky family operations")
     ssub = schottky.add_subparsers(dest="subcommand", required=True)
-    for name, func, extra in [
-        ("build", cmd_schottky_build, []),
-        ("limit-cone", cmd_limit_cone, ["max_len", "csv", "svg"]),
-        ("sign-group", cmd_sign_group, ["max_len"]),
-        ("decor-check", cmd_decor_check, ["max_len", "n_exp"]),
-        ("mix-probe", cmd_mix_probe, ["max_len", "theta", "window", "delta0"]),
-    ]:
-        sp = add_parser(ssub, name)
-        sp.add_argument("family")
-        if "max_len" in extra:
-            sp.add_argument("--max-len", dest="max_len", type=int, default=4)
-        if "csv" in extra:
-            sp.add_argument("--csv", default=None)
-            sp.add_argument("--svg", default=None)
-        if "n_exp" in extra:
-            sp.add_argument("--n-exp", dest="n_exp", type=int, default=2)
-        if "theta" in extra:
-            sp.add_argument("--theta", required=True)
-            sp.add_argument("--window", default="1,10")
-            sp.add_argument("--delta0", type=float, default=0.2)
-        sp.set_defaults(func=func)
+    p = add_parser(ssub, "build")
+    p.add_argument("family")
+    p.set_defaults(func=cmd_schottky_build)
 
-    # top-level aliases for the schottky subcommands
-    for name, func, extra in [
-        ("limit-cone", cmd_limit_cone, ["max_len", "csv", "svg"]),
-        ("sign-group", cmd_sign_group, ["max_len"]),
-        ("decor-check", cmd_decor_check, ["max_len", "n_exp"]),
-        ("mix-probe", cmd_mix_probe, ["max_len", "theta", "window", "delta0"]),
-    ]:
-        sp = add_parser(sub, name)
-        sp.add_argument("family")
-        if "max_len" in extra:
+    # one table for the family subcommands, registered under `schottky`
+    # and as top-level aliases
+    family_commands = [
+        ("limit-cone", cmd_limit_cone, ["csv"]),
+        ("sign-group", cmd_sign_group, []),
+        ("decor-check", cmd_decor_check, ["n_exp"]),
+        ("mix-probe", cmd_mix_probe, ["theta"]),
+    ]
+    for container in (ssub, sub):
+        for name, func, extra in family_commands:
+            sp = add_parser(container, name)
+            sp.add_argument("family")
             sp.add_argument("--max-len", dest="max_len", type=int, default=4)
-        if "csv" in extra:
-            sp.add_argument("--csv", default=None)
-            sp.add_argument("--svg", default=None)
-        if "n_exp" in extra:
-            sp.add_argument("--n-exp", dest="n_exp", type=int, default=2)
-        if "theta" in extra:
-            sp.add_argument("--theta", required=True)
-            sp.add_argument("--window", default="1,10")
-            sp.add_argument("--delta0", type=float, default=0.2)
-        sp.set_defaults(func=func)
+            if "csv" in extra:
+                sp.add_argument("--csv", default=None)
+                sp.add_argument("--svg", default=None)
+            if "n_exp" in extra:
+                sp.add_argument("--n-exp", dest="n_exp", type=int, default=2)
+            if "theta" in extra:
+                sp.add_argument("--theta", required=True)
+                sp.add_argument("--window", default="1,10")
+                sp.add_argument("--delta0", type=float, default=0.2)
+            sp.set_defaults(func=func)
 
     p = add_parser(sub, "density", help="toral density certificates")
     p.add_argument("variant", choices=["select", "cone"])

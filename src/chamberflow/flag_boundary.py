@@ -78,13 +78,6 @@ def flags_equal(xi: Flag, eta: Flag, tol: float = 1e-8) -> bool:
     return xi.n == eta.n and bool(np.allclose(xi.rep, eta.rep, atol=tol))
 
 
-@dataclass(frozen=True)
-class FlagPair:
-    xi: Flag
-    xi_check: Flag
-    transverse: bool
-
-
 def standard_flag(n: int) -> Flag:
     return Flag(np.eye(n))
 

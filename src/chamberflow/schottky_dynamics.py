@@ -4,7 +4,6 @@ component-label transport, and decorrelation checks.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,21 +24,11 @@ from .linalg_core import (
     DEFAULT_CONFIG,
     GroupElement,
     SignVector,
-    jordan_projection,
     project_to_sl,
 )
-from .flag_boundary import Flag, act, boundary_margin_estimate, flag_distance, is_transverse
-from .loxodromy import (
-    LoxodromicData,
-    REpsCertificate,
-    certify_r_eps,
-    classify,
-    compact_section,
-    extended_jordan,
-    power,
-    ratio,
-)
-from .sections_cocycles import BHCoordinates, Section, best_section, cocycle, covering_family
+from .flag_boundary import act, boundary_margin_estimate, flag_distance, is_transverse
+from .loxodromy import certify_r_eps, classify, compact_section, power, ratio
+from .sections_cocycles import BHCoordinates, best_section, cocycle, covering_family
 
 DEFAULT_WORD_CAP = 200_000
 
@@ -66,31 +55,6 @@ class SignGroupReport:
     order: int                   # 2**p
     p: int
     witnesses: tuple             # (word, SignVector) pairs
-
-
-def enumerate_words(num_gens: int, max_len: int, cap: int = DEFAULT_WORD_CAP):
-    """All nonempty positive words up to max_len, breadth-first, deterministic."""
-    count = sum(num_gens ** k for k in range(1, max_len + 1))
-    if count > cap:
-        raise BudgetExceeded(f"{count} words exceeds the cap {cap}")
-    queue = deque([()])
-    while queue:
-        word = queue.popleft()
-        if word:
-            yield word
-        if len(word) < max_len:
-            for i in range(num_gens):
-                queue.append(word + (i,))
-
-
-def word_matrices(generators: list, max_len: int, cap: int = DEFAULT_WORD_CAP):
-    """(word, product matrix) pairs; products reuse the length-1 prefixes."""
-    mats = {(): np.eye(generators[0].shape[0])}
-    for word in enumerate_words(len(generators), max_len, cap):
-        prefix, last = word[:-1], word[-1]
-        mat = generators[last] @ mats[prefix]
-        mats[word] = mat
-        yield word, mat
 
 
 def build_schottky(
@@ -167,9 +131,8 @@ def _planar_hull(dirs: list) -> list:
 
 
 def _word_array(num_gens: int, length: int) -> np.ndarray:
-    """All words of exactly `length` letters as an (N, length) index array;
-    column j holds the j-th applied letter. Row order matches the word
-    tuples of enumerate_words restricted to that length."""
+    """All words of exactly `length` letters as an (N, length) index array,
+    in lexicographic order; column j holds the j-th applied letter."""
     grids = np.indices((num_gens,) * length)
     return np.stack([g.ravel() for g in grids], axis=1)
 
@@ -184,57 +147,71 @@ def _batched_qr_positive(frames: np.ndarray):
     return q, np.log(np.abs(diag))
 
 
-def stable_word_lambdas(
-    mats: list, length: int, xi_star: np.ndarray | None = None, repeats: int | None = None
-):
-    """Jordan projections of all positive words of a given length, computed
-    without ever forming the word products.
+def stable_word_lambdas(mats: list, length: int):
+    """Jordan projections and eigenvalue signs of all positive words of a
+    given length, computed without ever forming the word products.
 
-    A first sweep of per-letter applications converges a frame to each
+    A first sweep of per-letter applications converges a frame F0 to each
     word's attracting flag; a second sweep accumulates the per-letter
     Iwasawa a-parts, which telescope to the Jordan projection evaluated at
-    the attracting flag. Every step is an orthogonal-matrix QR, so the
-    result stays accurate for words whose raw products overflow double
-    precision. Returns (words, lambdas) with words of shape (N, length).
+    the attracting flag, and ends at a frame F1. Every step is an
+    orthogonal-matrix QR, so the result stays accurate for words whose raw
+    products overflow double precision.
+
+    Since w F0 = F1 R with R upper triangular and positive on the diagonal,
+    and F1 = F0 S on the attracting flag, F0^T w F0 = S R: the signs of the
+    eigenvalues in decreasing modulus order are S = sign(diag(F0^T F1)).
+    Returns (words, lambdas, signs) with words of shape (N, length); raises
+    NotLoxodromic if some frame has not converged (|diag(F0^T F1)| < 1/2).
     """
     n = mats[0].shape[0]
-    num_gens = len(mats)
-    words = _word_array(num_gens, length)
+    words = _word_array(len(mats), length)
     big = len(words)
-    if xi_star is None:
-        xi_star = np.linalg.qr(np.random.default_rng(12345).standard_normal((n, n)))[0]
+    xi_star = np.linalg.qr(np.random.default_rng(12345).standard_normal((n, n)))[0]
     frames = np.broadcast_to(xi_star, (big, n, n)).copy()
     stacked = np.asarray(mats)
-    if repeats is None:
-        repeats = max(2, int(np.ceil(24.0 / length)))
-    for _ in range(repeats):
+    for _ in range(max(2, int(np.ceil(24.0 / length)))):
         for j in range(length):
             frames = stacked[words[:, j]] @ frames
             frames, _ = _batched_qr_positive(frames)
+    start = frames
     lam = np.zeros((big, n))
     for j in range(length):
         frames = stacked[words[:, j]] @ frames
         frames, logs = _batched_qr_positive(frames)
         lam += logs
     lam -= lam.mean(axis=1, keepdims=True)
-    return words, lam
+    overlap = np.einsum("bij,bij->bj", start, frames)
+    stalled = np.abs(overlap).min(axis=1) < 0.5
+    if stalled.any():
+        first = tuple(int(i) for i in words[np.argmax(stalled)])
+        raise NotLoxodromic(
+            f"{int(stalled.sum())} of {big} words of length {length} have no "
+            f"converged attracting frame (first: {first})"
+        )
+    return words, lam, np.where(overlap < 0, -1, 1)
 
 
-def limit_cone(
-    fam: SchottkyFamily, max_len: int, cap: int = DEFAULT_WORD_CAP, config: Config = DEFAULT_CONFIG
-) -> ConeEstimate:
-    """Hull of the Jordan directions of all positive words up to max_len."""
+def _word_sweep(fam: SchottkyFamily, max_len: int, cap: int):
+    """Engine output (words, lambdas, signs) for each length 1..max_len,
+    after one check of the total word count against the budget."""
     mats = [L.g.entries for L in fam.generators]
-    n = mats[0].shape[0]
     count = sum(len(mats) ** k for k in range(1, max_len + 1))
     if count > cap:
         raise BudgetExceeded(f"{count} words exceeds the cap {cap}")
-    rays = []
     for length in range(1, max_len + 1):
-        _, lams = stable_word_lambdas(mats, length)
-        norms = np.linalg.norm(lams, axis=1)
-        keep = norms > 1e-12
-        rays.extend(lams[keep] / norms[keep, np.newaxis])
+        yield stable_word_lambdas(mats, length)
+
+
+def _unit_rays(lams: np.ndarray) -> np.ndarray:
+    """Normalized nonzero Jordan vectors."""
+    norms = np.linalg.norm(lams, axis=1)
+    keep = norms > 1e-12
+    return lams[keep] / norms[keep, np.newaxis]
+
+
+def _cone_estimate(rays: list, n: int, word_length: int) -> ConeEstimate:
+    """Cone estimate with the extreme rays of the cone hull of `rays`."""
     dim = n - 1
     if dim == 1:
         hull = [rays[0]]
@@ -253,8 +230,18 @@ def limit_cone(
     return ConeEstimate(
         tuple(CartanVector(ray) for ray in rays),
         tuple(CartanVector(h / np.linalg.norm(h)) for h in hull),
-        max_len,
+        word_length,
     )
+
+
+def limit_cone(
+    fam: SchottkyFamily, max_len: int, cap: int = DEFAULT_WORD_CAP, config: Config = DEFAULT_CONFIG
+) -> ConeEstimate:
+    """Hull of the Jordan directions of all positive words up to max_len."""
+    rays = []
+    for _, lams, _ in _word_sweep(fam, max_len, cap):
+        rays.extend(_unit_rays(lams))
+    return _cone_estimate(rays, fam.generators[0].g.n, max_len)
 
 
 def cone_contains(cone: ConeEstimate, direction: np.ndarray, tol: float = 1e-9) -> bool:
@@ -301,50 +288,24 @@ def _reduce_bits(bits: tuple, basis_bits: list) -> tuple:
     return tuple(int(v) for v in vec)
 
 
-def _m_part_of_word(mat: np.ndarray, config: Config) -> SignVector | None:
-    """M-part of the extended Jordan projection of a word product: the signs
-    of the (real) eigenvalues in decreasing modulus order. Section-independent
-    since M is abelian for SL(n, R)."""
-    try:
-        # word products of determinant-1 factors have determinant 1 exactly;
-        # renormalizing through a computed determinant would be pure noise at
-        # large dynamic range, so wrap the matrix directly
-        L = classify(GroupElement(mat), config)
-    except (NotLoxodromic, ValueError):
-        return None
-    vals = np.linalg.eigvals(L.g.entries)
-    vals = np.real(vals[np.argsort(-np.abs(vals))])
-    # the sign of an eigenvalue tiny relative to the top modulus is numerical
-    # noise; at most one such sign can be recovered from det = +1
-    scale = abs(vals[0])
-    signs = [int(np.sign(v)) if abs(v) > 1e-9 * scale else 0 for v in vals]
-    undetermined = [i for i, s in enumerate(signs) if s == 0]
-    if len(undetermined) > 1:
-        return None
-    if undetermined:
-        signs[undetermined[0]] = int(np.prod([s for s in signs if s != 0]))
-    return SignVector(tuple(signs))
-
-
 def sign_group(
     fam: SchottkyFamily, max_len: int, cap: int = DEFAULT_WORD_CAP, config: Config = DEFAULT_CONFIG
 ) -> SignGroupReport:
     """The sign group M_Gamma via GF(2) elimination on the M-parts of the
-    extended Jordan projections of all classified words up to max_len."""
-    mats = [L.g.entries for L in fam.generators]
-    n = mats[0].shape[0]
+    extended Jordan projections of all positive words up to max_len."""
+    n = fam.generators[0].g.n
     basis, basis_bits, witnesses = [], [], []
-    for word, mat in word_matrices(mats, max_len, cap):
-        m = _m_part_of_word(mat, config)
-        if m is None:
-            continue
-        residual = _reduce_bits(_sign_bits(m), basis_bits)
-        if any(residual):
-            basis.append(m)
-            basis_bits.append(residual)
-            witnesses.append((word, m))
-            if len(basis) == n - 1:
-                break
+    for words, _, signs in _word_sweep(fam, max_len, cap):
+        for word, row in zip(words, signs):
+            m = SignVector(tuple(int(s) for s in row))
+            residual = _reduce_bits(_sign_bits(m), basis_bits)
+            if any(residual):
+                basis.append(m)
+                basis_bits.append(residual)
+                witnesses.append((tuple(int(i) for i in word), m))
+        # eigenvalue signs multiply to det = +1, so p <= n - 1
+        if len(basis) == n - 1:
+            break
     p = len(basis)
     return SignGroupReport(tuple(basis), 2 ** p, p, tuple(witnesses))
 
@@ -433,7 +394,7 @@ def decorrelation_discret_check(
             sections[i], s_prev, witnesses[i].repelling, witnesses[i].attracting, anchor, config
         ).m
         m_corr.append(rho)
-    ms = [_m_part_of_word(w.g.entries, config) for w in witnesses]
+    ms = [m for _, m in report.witnesses]
     s_top = sections[p - 1].with_offset(AMElement(CartanVector(np.zeros(n)), m_corr[p]))
     table = {}
     for bits in range(1 << p):
@@ -478,21 +439,18 @@ def jordan_line_density_probe(
     in-window hits among words with orthogonal deviation < delta0 and the
     sorted gaps of their theta-components."""
     t_dir = theta.coords / np.linalg.norm(theta.coords)
-    cone = limit_cone(fam, min(max_len, 4), cap, config)
-    interior = cone_interior(cone, t_dir)
-    mats = [L.g.entries for L in fam.generators]
-    count = sum(len(mats) ** k for k in range(1, max_len + 1))
-    if count > cap:
-        raise BudgetExceeded(f"{count} words exceeds the cap {cap}")
-    hits = []
+    cone_len = min(max_len, 4)
+    rays, hits = [], []
     total = 0
-    for length in range(1, max_len + 1):
-        _, lams = stable_word_lambdas(mats, length)
+    for words, lams, _ in _word_sweep(fam, max_len, cap):
+        if words.shape[1] <= cone_len:
+            rays.extend(_unit_rays(lams))
         total += len(lams)
         ts = lams @ t_dir
         devs = np.linalg.norm(lams - ts[:, np.newaxis] * t_dir, axis=1)
         mask = (devs < delta0) & (ts >= window[0]) & (ts <= window[1])
         hits.extend(float(t) for t in ts[mask])
+    interior = cone_interior(_cone_estimate(rays, fam.generators[0].g.n, cone_len), t_dir)
     hits.sort()
     gaps = np.diff(hits) if len(hits) > 1 else np.array([])
     out = {

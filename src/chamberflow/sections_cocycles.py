@@ -195,19 +195,6 @@ def from_bh(c: BHCoordinates, config: Config = DEFAULT_CONFIG) -> GroupElement:
     )
 
 
-def compact_coords(k: np.ndarray, s: Section, config: Config = DEFAULT_CONFIG):
-    """Local K-coordinates (xi ; signs)_s of an orthogonal matrix k."""
-    if s.kind != "compact":
-        raise ValueError("compact_coords requires a compact section")
-    kg = GroupElement(_project_det(np.asarray(k, dtype=float)))
-    xi = flag_of(kg, config)
-    d = np.linalg.solve(eval_section(s, xi, config).entries, kg.entries)
-    off = np.linalg.norm(d - np.diag(np.diag(d)))
-    if off > 1e-7:
-        raise OutOfDomain(f"k is outside the chart (off-diagonal {off:.3e})")
-    return xi, SignVector(tuple(int(v) for v in np.sign(np.diag(d))))
-
-
 def permutation_flag(n: int, perm: tuple) -> Flag:
     """Flag of the permutation frame for perm (det-corrected into SO(n))."""
     p = np.zeros((n, n))

@@ -192,7 +192,7 @@ def test_criterion_7_density_lemmata():
 def test_criterion_8_mixing_contrast_probe(cone_family):
     start = time.monotonic()
     mats = [L.g.entries for L in cone_family.generators]
-    _, lams = stable_word_lambdas(mats, 2)
+    _, lams, _ = stable_word_lambdas(mats, 2)
     theta_in = CartanVector(lams[1] / np.linalg.norm(lams[1]))
     ext = np.array([1.0, 0.8, -1.8])
     theta_out = CartanVector(ext - ext.mean())

@@ -89,6 +89,26 @@ def test_schottky_build_and_cone_csv(workdir):
     assert len(lines) == 1 + 2 + 4 + 8
 
 
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("sign-group", []),
+        ("decor-check", []),
+        ("mix-probe", ["--theta", "1,-1", "--window", "1,20", "--max-len", "6"]),
+    ],
+    ids=["sign-group", "decor-check", "mix-probe"],
+)
+def test_schottky_aliases_match(workdir, command, extra):
+    family = str(workdir / "fam2.json")
+    bodies = []
+    for prefix in (["schottky"], []):
+        out = workdir / f"{command}-{len(prefix)}.json"
+        assert _run(prefix + [command, family] + extra, out) == 0
+        bodies.append(out.read_bytes())
+    assert bodies[0] == bodies[1]
+    assert json.loads(bodies[0])["config_hash"]
+
+
 def test_svg_emission_is_deterministic(tmp_path):
     a = conjugated(168, list(np.exp([7.0, 2.0, -9.0])))
     b = conjugated(169, list(np.exp([9.0, -2.0, -7.0])))

@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,39 +20,14 @@ from chamberflow.schottky_dynamics import (
     cone_interior,
     coset_index,
     decorrelation_discret_check,
-    enumerate_words,
     jordan_line_density_probe,
     limit_cone,
     sign_group,
     stable_word_lambdas,
-    word_matrices,
 )
 from chamberflow.sections_cocycles import BHCoordinates, best_section, covering_family
 
 from conftest import conjugated, rotation2
-
-
-def test_word_enumeration_is_breadth_first_and_complete():
-    words = list(enumerate_words(2, 3))
-    assert len(words) == 2 + 4 + 8
-    lengths = [len(w) for w in words]
-    assert lengths == sorted(lengths)
-    assert words[:2] == [(0,), (1,)]
-
-
-def test_word_enumeration_budget():
-    with pytest.raises(BudgetExceeded):
-        list(enumerate_words(10, 10, cap=1000))
-
-
-def test_word_matrices_match_direct_products():
-    rng = np.random.default_rng(0)
-    gens = [rng.standard_normal((2, 2)) for _ in range(2)]
-    for word, mat in word_matrices(gens, 3):
-        direct = np.eye(2)
-        for idx in word:
-            direct = gens[idx] @ direct
-        assert np.allclose(mat, direct)
 
 
 def test_stable_word_lambdas_against_eigenvalues():
@@ -57,13 +35,55 @@ def test_stable_word_lambdas_against_eigenvalues():
     a = conjugated(11, [3.0, 1.0, 1 / 3.0])
     b = conjugated(12, [4.0, 0.8, 1 / 3.2])
     mats = [a, b]
-    words, lams = stable_word_lambdas(mats, 2)
+    words, lams, _ = stable_word_lambdas(mats, 2)
     for word, lam in zip(words, lams):
         direct = np.eye(3)
         for idx in word:
             direct = mats[idx] @ direct
         expected = jordan_projection(GroupElement(direct)).coords
         assert np.abs(lam - expected).max() < 1e-8
+
+
+def _exact_word(mats, word, dps):
+    """Sum-zero log moduli and signs of the eigenvalues (decreasing modulus)
+    of the exact word product at dps digits."""
+    with mpmath.workdps(dps):
+        prod = mpmath.eye(mats[0].shape[0])
+        for idx in word:
+            prod = mpmath.matrix(mats[idx].tolist()) * prod
+        vals = sorted(mpmath.eig(prod, left=False, right=False), key=lambda v: -abs(v))
+        assert all(abs(mpmath.im(v)) <= abs(v) * mpmath.mpf(10) ** -20 for v in vals)
+        logs = [mpmath.log(abs(v)) for v in vals]
+        mean = sum(logs) / len(logs)
+        return np.array([float(x - mean) for x in logs]), tuple(1 if mpmath.re(v) > 0 else -1 for v in vals)
+
+
+@pytest.mark.parametrize("family", ["cone_family", "sign_family"])
+def test_stable_word_lambdas_against_mpmath(family, request):
+    fam = request.getfixturevalue(family)
+    mats = [L.g.entries for L in fam.generators]
+    spans = [float(L.lam.coords[0] - L.lam.coords[-1]) for L in fam.generators]
+    rng = np.random.default_rng(3)
+    for length in range(1, 13):
+        words, lams, signs = stable_word_lambdas(mats, length)
+        # every word gets an M-part, and the signs multiply to det = +1
+        assert signs.shape == lams.shape == (len(mats) ** length, 3)
+        assert np.all(np.prod(signs, axis=1) == 1)
+        for row in rng.choice(len(words), size=2, replace=False):
+            word = tuple(int(i) for i in words[row])
+            # the smallest eigenvalue sits sum(lambda_1 - lambda_n) decades
+            # below the product's entries; a fixed precision loses its sign
+            dps = 30 + math.ceil(sum(spans[i] for i in word) / math.log(10))
+            lam, exact_signs = _exact_word(mats, word, dps)
+            assert np.abs(lams[row] - lam).max() < 1e-8, word
+            assert tuple(signs[row]) == exact_signs, word
+
+
+def test_word_sweep_budget(cone_family):
+    with pytest.raises(BudgetExceeded):
+        limit_cone(cone_family, 10, cap=1000)
+    with pytest.raises(BudgetExceeded):
+        sign_group(cone_family, 10, cap=1000)
 
 
 def test_build_schottky_selects_certified_powers(sl3_triple):
@@ -106,7 +126,7 @@ def test_limit_cone_hulls_are_nested(cone_family):
 def test_cone_interior_and_exterior(cone_family):
     cone = limit_cone(cone_family, 4)
     mats = [L.g.entries for L in cone_family.generators]
-    _, lams = stable_word_lambdas(mats, 2)
+    _, lams, _ = stable_word_lambdas(mats, 2)
     interior_dir = lams[1] / np.linalg.norm(lams[1])  # a mixed word
     assert cone_interior(cone, interior_dir)
     exterior = np.array([1.0, 0.8, -1.8])
@@ -213,7 +233,7 @@ def test_label_transport_shifts_with_start_offset(single_sign_family):
 
 def test_line_density_probe_reports_gap_statistics(cone_family):
     mats = [L.g.entries for L in cone_family.generators]
-    _, lams = stable_word_lambdas(mats, 2)
+    _, lams, _ = stable_word_lambdas(mats, 2)
     theta = CartanVector(lams[1] / np.linalg.norm(lams[1]))
     stats = jordan_line_density_probe(cone_family, theta, (10.0, 60.0), 8, delta0=0.5)
     assert stats["theta_interior"]
