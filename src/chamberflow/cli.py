@@ -27,7 +27,7 @@ from .linalg_core import (
     iwasawa_kan_minus,
     jordan_projection,
 )
-from .flag_boundary import Flag, cell_margin, is_transverse, minor_margin
+from .flag_boundary import Flag, boundary_margin_estimate, is_transverse, minor_margin
 from .sections_cocycles import cocycle, compact_section
 from .loxodromy import classify
 from .schottky_dynamics import (
@@ -159,7 +159,7 @@ def cmd_transverse(args) -> int:
     transverse = is_transverse(a, b)
     report = {
         "transverse": transverse,
-        "margin": cell_margin(a, b) if transverse else 0.0,
+        "margin": boundary_margin_estimate(a, b),
         "minor_margin": minor_margin(a, b),
     }
     _emit(report, args)

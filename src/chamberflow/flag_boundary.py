@@ -3,8 +3,8 @@
 A flag is stored as an orthogonal frame modulo diagonal signs; the
 canonical representative makes flag equality a plain matrix comparison.
 Transversality is the Bruhat big-cell criterion on a comparison matrix,
-and cell_margin estimates the distance from a flag to the complement of
-a Bruhat cell by bisection along geodesics of SO(n).
+and cell_margin gives the exact distance from a flag to the complement of
+a Bruhat cell in closed form, from principal angles between subspaces.
 """
 
 from __future__ import annotations
@@ -183,126 +183,47 @@ def _rotation(direction: np.ndarray, t: float) -> np.ndarray:
     return scipy.linalg.expm(t * direction)
 
 
-def _in_big_cell(mat: np.ndarray, tol_minor: float) -> bool:
-    """Pivot loop of the Bruhat LU, success/failure only (no factor output)."""
-    a = mat.copy()
-    n = a.shape[0]
-    scale = float(np.abs(mat).max())
-    for k in range(n - 1):
-        piv = a[k, k]
-        if abs(piv) <= tol_minor * scale:
-            return False
-        factors = a[k + 1:, k] / piv
-        a[k + 1:, k:] -= np.outer(factors, a[k, k:])
-    return abs(a[n - 1, n - 1]) > tol_minor * scale
-
-
-def _leading_minor_values(mat: np.ndarray) -> np.ndarray:
-    """Leading principal minors det(mat[:k,:k]) for k = 1..n-1 (the n-th is
-    the constant determinant along a geodesic and never vanishes)."""
-    n = mat.shape[0]
-    if n == 3:
-        m1 = mat[0, 0]
-        m2 = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-        return np.array([m1, m2])
-    return np.array([np.linalg.det(mat[: k + 1, : k + 1]) for k in range(n - 1)])
-
-
-def _boundary_exit_distance(
-    xi: Flag,
-    xi_check: Flag,
-    direction: np.ndarray,
-    config: Config,
-    coarse_steps: int = 24,
-    bisect_iters: int = 30,
+def boundary_margin_estimate(
+    xi: Flag, xi_check: Flag, config: Config = DEFAULT_CONFIG
 ) -> float:
-    """Flag distance from xi to the first boundary crossing of b(xi_check)
-    along the left geodesic exp(t * direction) . xi; inf if none before t_max.
+    """Exact flag distance from xi to the complement of b(xi_check); 0 for
+    non-transverse pairs.
 
-    The complement of the cell is a hypersurface, so crossings are isolated
-    in t: they are located as sign changes (or near-zero dips) of the
-    leading principal minors of the comparison matrix, then bisected.
+    Let C = J xi_check^T xi be the comparison matrix. Its leading block
+    C[:k, :k] pairs xi_k with the orthogonal complement of xi_check_{n-k},
+    so s_k = sigma_min(C[:k, :k]) = sin(theta_k), where theta_k is the
+    smallest principal angle between xi_k and xi_check_{n-k}. The
+    complement of the cell is the union over k = 1..n-1 of the flags eta
+    with eta_k meeting xi_check_{n-k}, and the distance is
+
+        min_k sqrt(8) sin(theta_k / 2) = min_k 2 s_k / sqrt(1 + sqrt(1 - s_k^2)).
+
+    The sine form is used because arccos of a cosine near 1 loses about
+    half the digits.
+
+    Upper bound: rotating xi in the plane of the k-th pair of principal
+    vectors by theta_k gives a flag whose k-plane meets xi_check_{n-k}, at
+    Frobenius distance ||I - R|| = sqrt(8) sin(theta_k / 2).
+
+    Lower bound: if eta_k meets xi_check_{n-k}, the largest principal angle
+    between eta_k and xi_k is at least theta_k, and so is the largest one
+    between the complements eta_k^perp and xi_k^perp. By orthogonal
+    Procrustes, each of the two column blocks (first k, last n - k) of
+    xi.rep - eta.rep m, for any m in M, has Frobenius norm at least
+    2 sin(theta_k / 2), so the whole difference has norm at least
+    sqrt(8) sin(theta_k / 2).
     """
-    base_left = k_iota(xi.n) @ xi_check.rep.T
-    xi_rep = xi.rep
-    scale = 1.0  # comparison matrices are orthogonal
-
-    def minors_at(t: float) -> np.ndarray:
-        return _leading_minor_values(base_left @ _rotation(direction, t) @ xi_rep)
-
-    t_max = np.pi
-    ts = np.linspace(0.0, t_max, coarse_steps + 1)
-    prev_minors = minors_at(0.0)
-    hit = None
-    for i in range(1, len(ts)):
-        cur = minors_at(ts[i])
-        crossing = (np.sign(cur) != np.sign(prev_minors)) | (
-            np.abs(cur) <= config.tol_minor * scale
-        )
-        if np.any(crossing):
-            hit = (ts[i - 1], ts[i], int(np.argmax(crossing)))
-            break
-        prev_minors = cur
-    if hit is None:
-        return np.inf
-    lo, hi, k = hit
-    f_lo = minors_at(lo)[k]
-    for _ in range(bisect_iters):
-        mid = 0.5 * (lo + hi)
-        f_mid = minors_at(mid)[k]
-        if np.sign(f_mid) == np.sign(f_lo) and abs(f_mid) > config.tol_minor * scale:
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    boundary = Flag(_rotation(direction, hi) @ xi_rep)
-    return flag_distance(xi, boundary)
+    if not is_transverse(xi, xi_check, config):
+        return 0.0
+    c = comparison_matrix(xi, xi_check).entries
+    # the closed form is increasing in s_k, so its minimum is at min_k s_k
+    s = min(np.linalg.svd(c[:k, :k], compute_uv=False)[-1] for k in range(1, xi.n))
+    return float(2.0 * s / np.sqrt(1.0 + np.sqrt(max(0.0, 1.0 - s * s))))
 
 
-def cell_margin(
-    xi: Flag,
-    xi_check: Flag,
-    mesh: int = 64,
-    config: Config = DEFAULT_CONFIG,
-    certified: bool = True,
-) -> float:
-    """Lower bound on the distance from xi to the complement of b(xi_check).
-
-    For n = 2 the complement is the single flag xi_check and the value is
-    exact. Otherwise the boundary is scanned by geodesic bisection along a
-    deterministic direction mesh (refinements extend coarser meshes), and
-    the certified value applies a mesh-resolution deflation factor.
-    """
+def cell_margin(xi: Flag, xi_check: Flag, config: Config = DEFAULT_CONFIG) -> float:
+    """Distance from xi to the complement of b(xi_check), for a transverse
+    pair (see boundary_margin_estimate)."""
     if not is_transverse(xi, xi_check, config):
         raise NotTransverse("cell_margin requires a transverse pair")
-    n = xi.n
-    if n == 2:
-        return flag_distance(xi, xi_check)
-    best = np.inf
-    for direction in _so_directions(n, mesh):
-        best = min(best, _boundary_exit_distance(xi, xi_check, direction, config))
-    if not np.isfinite(best):
-        return 0.0
-    factor = max(0.0, 1.0 - 1.0 / np.sqrt(mesh)) if certified else 1.0
-    return best * factor
-
-
-def boundary_margin_estimate(
-    xi: Flag, xi_check: Flag, mesh: int = 8, config: Config = DEFAULT_CONFIG
-) -> float:
-    """Cheap distance-to-cell-boundary estimate used by sampling loops.
-
-    Returns 0 for non-transverse pairs instead of raising.
-    """
-    if not is_transverse(xi, xi_check, config):
-        return 0.0
-    if xi.n == 2:
-        return flag_distance(xi, xi_check)
-    best = np.inf
-    for direction in _so_directions(xi.n, mesh):
-        best = min(
-            best,
-            _boundary_exit_distance(
-                xi, xi_check, direction, config, coarse_steps=12, bisect_iters=12
-            ),
-        )
-    return 0.0 if not np.isfinite(best) else best
+    return boundary_margin_estimate(xi, xi_check, config)

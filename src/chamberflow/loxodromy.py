@@ -189,17 +189,13 @@ def _random_flag(rng: np.random.Generator, n: int) -> Flag:
 
 
 def _nearby_flag(rng: np.random.Generator, xi: Flag, eps: float) -> Flag:
-    """A flag at distance <= eps from xi (shrinking geodesic step)."""
+    """A flag at distance < eps from xi: a rotation by t <= eps along a unit
+    coordinate direction moves a flag by at most sqrt(8) sin(t / (2 sqrt 2)) < t."""
     n = xi.n
     dirs = _so_directions(n, 2 * (n * (n - 1) // 2))
     direction = dirs[rng.integers(len(dirs))]
     t = eps * rng.uniform(0.2, 1.0)
-    for _ in range(30):
-        moved = Flag(_rotation(direction, t) @ xi.rep)
-        if flag_distance(xi, moved) <= eps:
-            return moved
-        t *= 0.5
-    return xi
+    return Flag(_rotation(direction, t) @ xi.rep)
 
 
 def certify_r_eps(
@@ -254,14 +250,14 @@ def certify_r_eps(
 _KR_PROBE_CACHE: dict = {}
 
 
-def _k_r_probes(rng: np.random.Generator, n: int, r: float, config: Config, mesh: int):
+def _k_r_probes(n: int, r: float, config: Config, mesh: int):
     """Flags within r of the boundary of b(opposite standard flag)."""
     key = (n, round(r, 9), mesh)
     cached = _KR_PROBE_CACHE.get(key)
     if cached is not None:
         return cached
-    # a private stream keyed by the cache key: the caller's generator must
-    # advance identically whether or not the probes are already cached
+    # a private stream keyed by the cache key, so the result does not
+    # depend on whether the probes are already cached
     local = np.random.default_rng([n, mesh, int(round(r * 1e9))])
     check = Flag(k_iota(n))
     probes = []
@@ -283,7 +279,7 @@ def _sample_k_r(
     b(opposite standard flag) into the 2r-neighborhood. Tested on a mesh."""
     check = Flag(k_iota(n))
     dirs = _so_directions(n, mesh)
-    probes = _k_r_probes(rng, n, r, config, mesh)
+    probes = _k_r_probes(n, r, config, mesh)
     for _ in range(200):
         direction = dirs[rng.integers(len(dirs))]
         h = _rotation(direction, r * rng.uniform(0.0, 0.5))

@@ -399,20 +399,21 @@ def decorrelation_discret_check(
     table = {}
     for bits in range(1 << p):
         nu = tuple((bits >> i) & 1 for i in range(p))
-        # accumulate the product cocycle factor by factor (the cocycle
-        # relation is exact), keeping every solve well conditioned
+        # accumulate the product cocycle one witness factor at a time, never
+        # forming a raw power (the cocycle relation is exact), keeping every
+        # solve well conditioned
         beta = AMElement.identity(n)
         point = xi0
         s_prev = s0
         for i, w in enumerate(witnesses):
-            step = project_to_sl(np.linalg.matrix_power(w.g.entries, 2 * n_exp + nu[i]))
             s_next = s_top if i == p - 1 else sections[i]
-            try:
-                beta = cocycle(s_next, s_prev, step, point, config) * beta
-            except OutOfDomain as exc:
-                raise NeedLargerN(str(exc)) from exc
-            point = act(step, point, config)
-            s_prev = s_next
+            for _ in range(2 * n_exp + nu[i]):
+                try:
+                    beta = cocycle(s_next, s_prev, w.g, point, config) * beta
+                except OutOfDomain as exc:
+                    raise NeedLargerN(str(exc)) from exc
+                point = act(w.g, point, config)
+                s_prev = s_next
             # ping-pong containment: the orbit stays transverse to the next basin
             nxt = witnesses[i + 1].repelling if i + 1 < p else witnesses[i].repelling
             if not is_transverse(point, nxt, config):

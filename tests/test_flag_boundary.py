@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.optimize
 
 from chamberflow.errors import NotTransverse
 from chamberflow.flag_boundary import (
@@ -79,9 +81,12 @@ def test_metric_axioms_and_invariance():
 
 
 def test_cell_margin_exact_in_dimension_two():
-    xi = standard_flag(2)
-    eta = opposite_flag(2)
-    assert np.isclose(cell_margin(xi, eta), flag_distance(xi, eta))
+    # for n = 2 the complement of the cell is the single flag xi_check
+    rng = np.random.default_rng(4)
+    pairs = [(standard_flag(2), opposite_flag(2))]
+    pairs += [(Flag(random_rotation(rng, 2)), Flag(random_rotation(rng, 2))) for _ in range(10)]
+    for xi, eta in pairs:
+        assert np.isclose(cell_margin(xi, eta), flag_distance(xi, eta), rtol=0, atol=1e-12)
 
 
 def test_cell_margin_requires_transversality():
@@ -89,11 +94,76 @@ def test_cell_margin_requires_transversality():
         cell_margin(standard_flag(3), standard_flag(3))
 
 
-def test_cell_margin_certified_value_is_deflated():
-    xi, eta = standard_flag(3), opposite_flag(3)
-    certified = cell_margin(xi, eta, mesh=16, certified=True)
-    raw = cell_margin(xi, eta, mesh=16, certified=False)
-    assert 0 < certified < raw
+def _plane_rotation(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rotation of R^n in span(u, v) taking the unit vector u to the unit
+    vector v, identity on the orthogonal complement."""
+    c = float(u @ v)
+    w = v - c * u
+    s = float(np.linalg.norm(w))
+    w = w / s
+    return (
+        np.eye(len(u))
+        + (c - 1.0) * (np.outer(u, u) + np.outer(w, w))
+        + s * (np.outer(w, u) - np.outer(u, w))
+    )
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_cell_margin_is_attained_by_a_principal_rotation(n):
+    rng = np.random.default_rng(10 + n)
+    for _ in range(5):
+        xi, xi_check = Flag(random_rotation(rng, n)), Flag(random_rotation(rng, n))
+        # smallest principal angle between xi_k and xi_check_{n-k}, from
+        # the cosine form, and the principal vectors attaining it
+        best = None
+        for k in range(1, n):
+            a, sig, bt = np.linalg.svd(xi_check.rep[:, : n - k].T @ xi.rep[:, :k])
+            if best is None or sig[0] > best[0]:
+                best = (sig[0], xi.rep[:, :k] @ bt[0], xi_check.rep[:, : n - k] @ a[:, 0])
+        _, u, v = best
+        moved = Flag(_plane_rotation(u, v) @ xi.rep)
+        assert not is_transverse(moved, xi_check)
+        margin = cell_margin(xi, xi_check)
+        assert abs(flag_distance(xi, moved) - margin) < 1e-10
+        assert boundary_margin_estimate(xi, xi_check) == margin
+
+
+def test_cell_margin_is_not_beaten_by_a_local_search():
+    # nearest flag exp(X) xi with a vanishing leading minor of the
+    # comparison matrix, searched by SLSQP over so(n) for each k: no search
+    # lands below the margin, and the best one over k reaches it
+    rng = np.random.default_rng(7)
+    for n in (3, 4, 5):
+        basis = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                x = np.zeros((n, n))
+                x[i, j], x[j, i] = 1.0, -1.0
+                basis.append(x)
+        basis = np.asarray(basis)
+        for _ in range(2):
+            xi, xi_check = Flag(random_rotation(rng, n)), Flag(random_rotation(rng, n))
+            margin = cell_margin(xi, xi_check)
+            left = k_iota(n) @ xi_check.rep.T
+
+            def rep(c):
+                return scipy.linalg.expm(np.tensordot(c, basis, 1)) @ xi.rep
+
+            found = []
+            for k in range(1, n):
+                res = scipy.optimize.minimize(
+                    lambda c: float(np.sum((rep(c) - xi.rep) ** 2)),
+                    0.1 * rng.standard_normal(len(basis)),
+                    method="SLSQP",
+                    constraints=[{"type": "eq", "fun": lambda c: np.linalg.det((left @ rep(c))[:k, :k])}],
+                    options={"ftol": 1e-14, "maxiter": 200},
+                )
+                assert res.success, res.message
+                eta = Flag(rep(res.x))
+                assert abs(np.linalg.det((left @ eta.rep)[:k, :k])) < 1e-10
+                found.append(flag_distance(xi, eta))
+            assert min(found) >= margin - 1e-9
+            assert min(found) <= margin * (1.0 + 1e-6)
 
 
 def test_boundary_margin_estimate_zero_for_non_transverse():

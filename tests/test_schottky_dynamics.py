@@ -163,6 +163,14 @@ def test_decorrelation_components(sign_family):
         assert match, (nu, attained, expected)
 
 
+def test_decorrelation_components_at_cli_default_exponent(sign_family):
+    # n_exp = 2 is the decor-check default
+    report = sign_group(sign_family, 3)
+    table = decorrelation_discret_check(sign_family, report, 2)
+    assert len(table) == 4
+    assert all(match for _, _, match in table.values()), table
+
+
 def test_decorrelation_trivial_sign_group():
     a = conjugated(168, [150.0, 2.0, 1 / 300.0])
     b = conjugated(169, [150.0, 2.0, 1 / 300.0])
