@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import verify as verify_mod
-from .errors import ChamberflowError
+from .errors import ChamberflowError, NotDenseAtBudget
 from .linalg_core import (
     Config,
     GroupElement,
@@ -315,25 +315,27 @@ def _read_points(path: str) -> list:
 def cmd_density(args) -> int:
     points = _read_points(args.input)
     window = [tuple(float(x) for x in pair.split(",")) for pair in args.window.split(";")]
-    if args.variant == "select":
-        cert = select_dense_subgroup_generators(points, args.delta, window)
-        report = {
-            "covered": cert.covered,
-            "subset_size": len(cert.subset),
-            "delta": cert.delta,
-            "grid_step": cert.grid_step,
-        }
-        _emit(report, args)
-        return EXIT_OK if cert.covered else EXIT_FAILED
-    v_f, cert = semigroup_cone_density(points, args.delta, window)
-    report = {
-        "covered": cert.covered,
-        "v_F": list(np.atleast_1d(v_f)),
-        "delta": cert.delta,
-        "grid_step": cert.grid_step,
-    }
+    report = {"covered": True}
+    try:
+        if args.variant == "select":
+            cert = select_dense_subgroup_generators(points, args.delta, window)
+        else:
+            v_f, cert = semigroup_cone_density(points, args.delta, window)
+            report["v_F"] = list(np.atleast_1d(v_f))
+    except NotDenseAtBudget as exc:
+        # a failed covering still reports its certificate, when it has one
+        report = {"covered": False, "reason": str(exc)}
+        cert = exc.certificate
+    if cert is not None:
+        if args.variant == "select":
+            report["subset_size"] = len(cert.subset)
+        report["delta"] = cert.delta
+        report["grid_step"] = cert.grid_step
+        if cert.uncovered_farthest is not None:
+            center, distance = cert.uncovered_farthest
+            report["uncovered_farthest"] = {"center": list(center), "distance": distance}
     _emit(report, args)
-    return EXIT_OK if cert.covered else EXIT_FAILED
+    return EXIT_OK if report["covered"] else EXIT_FAILED
 
 
 def cmd_verify(args) -> int:

@@ -4,11 +4,19 @@ select_dense_subgroup_generators picks at most 3d + 2k elements whose
 generated group delta-covers a window times the full torus;
 semigroup_cone_density constructs the translation v_F after which the
 positive semigroup is delta-dense in a translated cone.
+
+Both enumerate the (semi)group with _generated_group, a level-synchronous,
+vectorised BFS: each level steps the whole frontier by every generator at
+once and keeps, per delta/4 grid cell, the first point in (frontier index,
+step index) order, which is the first-visit order of a node-by-node BFS.
+verify_certificate re-checks a certificate with plain loops and shares no
+code with the BFS or the KD-trees.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import nnls
@@ -54,24 +62,16 @@ class DensityCertificate:
     centers: tuple = ()                       # the grid cell centers the flag certifies
 
 
-def _torus_shifts(k: int):
-    """All 3^k integer shift vectors used to unwrap torus distances."""
-    if k == 0:
-        return [np.zeros(0)]
-    shifts = [np.zeros(0)]
-    for _ in range(k):
-        shifts = [np.append(s, o) for s in shifts for o in (-1.0, 0.0, 1.0)]
-    return shifts
-
-
-def _build_tree(points: list, k: int):
-    """KD-tree over V x C points with torus coordinates replicated."""
-    data, owner = [], []
-    for i, (v, c) in enumerate(points):
-        for shift in _torus_shifts(k):
-            data.append(np.concatenate([v, c + shift]))
-            owner.append(i)
-    return cKDTree(np.asarray(data)), owner
+def _build_tree(points: np.ndarray, k: int):
+    """KD-tree over the [v | c] rows of points with every torus coordinate
+    replicated at shifts -1, 0, +1; owner[j] is the point behind tree row j."""
+    n, d = points.shape[0], points.shape[1] - k
+    # the 3^k shift vectors, first coordinate slowest
+    shifts = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=k)))
+    v = np.broadcast_to(points[:, None, :d], (n, len(shifts), d))
+    c = points[:, None, d:] + shifts
+    data = np.concatenate([v, c], axis=2).reshape(n * len(shifts), d + k)
+    return cKDTree(data), np.repeat(np.arange(n), len(shifts))
 
 
 def _grid_centers(window: np.ndarray, k: int, step: float):
@@ -87,10 +87,8 @@ def _grid_centers(window: np.ndarray, k: int, step: float):
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _coverage(points: list, k: int, window: np.ndarray, delta: float, step: float):
+def _coverage(points: np.ndarray, k: int, window: np.ndarray, delta: float, step: float):
     """(covered, farthest (center, distance)) of the window x torus grid."""
-    if not points:
-        return False, (tuple(window[:, 0]), float("inf"))
     tree, _ = _build_tree(points, k)
     centers = _grid_centers(window, k, step)
     dists, _ = tree.query(centers)
@@ -99,54 +97,79 @@ def _coverage(points: list, k: int, window: np.ndarray, delta: float, step: floa
     return covered, (tuple(float(x) for x in centers[worst]), float(dists[worst]))
 
 
+def _cell_keys(points: np.ndarray, d: int, res: float) -> np.ndarray:
+    """One opaque key per [v | c] row: its integer cell on the res grid, the
+    torus cells taken mod the number of cells per unit."""
+    cells = max(1, int(round(1.0 / res)))
+    grid = np.round(points / res).astype(int)
+    grid[:, d:] %= cells
+    return grid.view(np.dtype((np.void, grid.itemsize * grid.shape[1]))).ravel()
+
+
 def _generated_group(
     gens: list, window: np.ndarray, k: int, delta: float, coeff_bound: int, positive_only=False
 ):
-    """BFS enumeration of the (semi)group generated by gens, restricted to a
-    window inflated by one generator step; deduplicated on a delta/4 grid.
+    """Level-synchronous, vectorised BFS enumeration of the (semi)group
+    generated by gens, restricted to a window inflated by one generator step;
+    deduplicated on a delta/4 grid.
 
-    Returns (points, coeffs) where coeffs are the integer coefficient vectors.
+    Each level steps the whole frontier by every generator (each followed by
+    its inverse unless positive_only) at once, drops the steps that leave the
+    window or exceed coeff_bound, and keeps, per grid cell not seen before,
+    the first point in (frontier index, step index) order. That is the visit
+    order of a node-by-node BFS, so the points come out in first-visit order.
+
+    Returns (points, coeffs): an (n, d + k) array of [v | c] rows with the
+    torus part reduced mod 1, and the (n, len(gens)) integer coefficients.
     """
-    d = window.shape[0]
-    steps = []
-    for i, p in enumerate(gens):
-        unit = np.zeros(len(gens), dtype=int)
-        unit[i] = 1
-        steps.append((p.v, p.c, unit))
-        if not positive_only:
-            steps.append((-p.v, -p.c, -unit))
+    d, g = window.shape[0], len(gens)
+    gen_steps = np.array([np.concatenate([p.v, p.c]) for p in gens]).reshape(g, d + k)
+    units = np.eye(g, dtype=int)
+    if positive_only:
+        steps, step_coeffs = gen_steps, units
+    else:
+        steps = np.stack([gen_steps, -gen_steps], axis=1).reshape(2 * g, d + k)
+        step_coeffs = np.stack([units, -units], axis=1).reshape(2 * g, g)
     reach = max((np.linalg.norm(p.v) for p in gens), default=0.0) + delta
     lo = window[:, 0] - reach
     hi = window[:, 1] + reach
     res = delta / 4.0
-    seen = {}
-    start_v, start_c = np.zeros(d), np.zeros(k)
-    start_key = (tuple(np.round(start_v / res).astype(int)), tuple(np.round((start_c % 1.0) / res).astype(int)))
-    seen[start_key] = (start_v, start_c, np.zeros(len(gens), dtype=int))
-    frontier = [start_key]
-    while frontier:
-        new_frontier = []
-        for key in frontier:
-            v, c, coeff = seen[key]
-            for sv, sc, sunit in steps:
-                nv, nc = v + sv, (c + sc) % 1.0
-                ncoeff = coeff + sunit
-                if np.any(nv < lo) or np.any(nv > hi):
-                    continue
-                if np.max(np.abs(ncoeff)) > coeff_bound:
-                    continue
-                nkey = (
-                    tuple(np.round(nv / res).astype(int)),
-                    tuple(np.round(nc / res).astype(int) % max(1, int(round(1.0 / res)))),
-                )
-                if nkey in seen:
-                    continue
-                seen[nkey] = (nv, nc, ncoeff)
-                new_frontier.append(nkey)
-        frontier = new_frontier
-    points = [(v, c) for v, c, _ in seen.values()]
-    coeffs = [coeff for _, _, coeff in seen.values()]
-    return points, coeffs
+    frontier, coeffs = np.zeros((1, d + k)), np.zeros((1, g), dtype=int)
+    seen = _cell_keys(frontier, d, res)  # kept sorted
+    levels = [(frontier, coeffs)]
+    while len(frontier) and g:
+        m = len(frontier) * len(steps)
+        pts = (frontier[:, None, :] + steps).reshape(m, d + k)
+        pts[:, d:] %= 1.0
+        pcoeffs = (coeffs[:, None, :] + step_coeffs).reshape(m, g)
+        keep = ~((pts[:, :d] < lo) | (pts[:, :d] > hi)).any(axis=1)
+        keep &= np.abs(pcoeffs).max(axis=1) <= coeff_bound
+        pts, pcoeffs = pts[keep], pcoeffs[keep]
+        # the first point of each cell in this level, then only cells not seen
+        cells, first = np.unique(_cell_keys(pts, d, res), return_index=True)
+        at = np.searchsorted(seen, cells)
+        new = seen[np.minimum(at, len(seen) - 1)] != cells
+        seen = np.insert(seen, at[new], cells[new])
+        order = np.sort(first[new])
+        frontier, coeffs = pts[order], pcoeffs[order]
+        levels.append((frontier, coeffs))
+    points, coeffs = zip(*levels)
+    return np.concatenate(points), np.concatenate(coeffs)
+
+
+def _common_shape(points: list) -> tuple:
+    """The (d, k) shared by all points; ValueError if there are none or they differ."""
+    shapes = sorted({(p.d, p.k) for p in points})
+    if len(shapes) != 1:
+        raise ValueError(
+            "no points given" if not shapes else f"points of mixed (d, k) shapes {shapes}"
+        )
+    return shapes[0]
+
+
+def _point_tuples(points: np.ndarray, d: int) -> tuple:
+    """Certificate form of [v | c] rows: one (v, c) pair of tuples per row."""
+    return tuple((tuple(p[:d]), tuple(p[d:])) for p in points)
 
 
 def _greedy_v_basis(E: list, d: int) -> list:
@@ -180,7 +203,7 @@ def select_dense_subgroup_generators(
     """Pick at most 3d + 2k elements of E whose generated group delta-covers
     window x torus (verified on a grid of step <= delta / 2)."""
     window = np.atleast_2d(np.asarray(window, dtype=float))
-    d, k = E[0].d, E[0].k
+    d, k = _common_shape(E)
     step = grid_step if grid_step is not None else delta / 2.0
     limit = 3 * d + 2 * k
     subset_idx = _greedy_v_basis(E, d)
@@ -213,9 +236,9 @@ def select_dense_subgroup_generators(
         coeff_bound=coeff_bound,
         covered=ok,
         uncovered_farthest=None if ok else far,
-        points=tuple((tuple(v), tuple(c)) for v, c in pts),
-        coeffs=tuple(tuple(int(x) for x in c) for c in coeffs),
-        centers=tuple(tuple(float(x) for x in c) for c in _grid_centers(window, k, step)),
+        points=_point_tuples(pts, d),
+        coeffs=tuple(map(tuple, coeffs.tolist())),
+        centers=tuple(map(tuple, _grid_centers(window, k, step).tolist())),
     )
     if not ok:
         raise NotDenseAtBudget(
@@ -269,7 +292,7 @@ def semigroup_cone_density(
     Returns (v_F, DensityCertificate).
     """
     window = np.atleast_2d(np.asarray(window, dtype=float))
-    d, k = F[0].d, F[0].k
+    d, k = _common_shape(F)
     step = grid_step if grid_step is not None else delta / 2.0
     # 1. group-density pre-check on the zonotope of the V-parts; the BFS
     #    corridor must contain the zonotope, which can exceed the user window
@@ -282,34 +305,26 @@ def semigroup_cone_density(
     group_pts, group_coeffs = _generated_group(F, pre_window, k, delta, coeff_bound)
     t_axes = np.linspace(0.0, 1.0, max(2, int(np.ceil(2.0 / delta)) + 1))
     mesh = np.meshgrid(*([t_axes] * len(F)), indexing="ij")
-    targets = []
-    for idx in range(mesh[0].size):
-        t = np.array([m.ravel()[idx] for m in mesh])
-        targets.append(sum(ti * f.v for ti, f in zip(t, F)))
+    targets = sum(m.ravel()[:, None] * f.v for m, f in zip(mesh, F))
+    # each zonotope target at torus offsets 0 and 1/2 (or bare when k = 0)
+    shifts = np.zeros((1, 0)) if k == 0 else np.stack([np.zeros(k), np.full(k, 0.5)])
+    queries = np.concatenate(
+        [np.repeat(targets, len(shifts), axis=0), np.tile(shifts, (len(targets), 1))], axis=1
+    )
     tree, owner = _build_tree(group_pts, k)
-    # X: for each zonotope/torus target, the nearest group element
-    x_indices = set()
-    for tv in targets:
-        for shift in ([np.zeros(0)] if k == 0 else [np.zeros(k), np.full(k, 0.5)]):
-            q = np.concatenate([tv, shift]) if k else tv
-            # among all group points within delta, keep the one whose
-            # coefficient vector is least negative: it minimizes the
-            # corrective power of h and hence the size of v_F
-            hits = tree.query_ball_point(q, delta)
-            if not hits:
-                dist, _ = tree.query(q)
-                raise NotDenseAtBudget(
-                    f"group of F is not delta-dense near {tv} (distance {dist:.4f})"
-                )
-            best = min(
-                (owner[j] for j in hits),
-                key=lambda i: int(-min(0, group_coeffs[i].min())),
-            )
-            x_indices.add(best)
-    # 2. h with h + X inside the semigroup: large positive coefficients
+    # X: for each query, the group point within delta whose coefficient
+    # vector is least negative: it minimizes the corrective power of h and
+    # hence the size of v_F.  Only the worst such negativity is needed.
+    negativity = np.maximum(0, -group_coeffs.min(axis=1))
     worst_negative = 0
-    for j in x_indices:
-        worst_negative = max(worst_negative, int(-min(0, group_coeffs[j].min())))
+    for q, near in zip(queries, tree.query_ball_point(queries, delta)):
+        if not near:
+            dist, _ = tree.query(q)
+            raise NotDenseAtBudget(
+                f"group of F is not delta-dense near {q[:d]} (distance {dist:.4f})"
+            )
+        worst_negative = max(worst_negative, int(negativity[owner[near]].min()))
+    # 2. h with h + X inside the semigroup: large positive coefficients
     vf_dirs = np.array([f.v for f in F]).T
     # 3. certify delta-covering of (v_F + cone) on the window *relative to
     #    v_F* (v_F grows with the coefficient budget, so an absolute window
@@ -329,15 +344,11 @@ def semigroup_cone_density(
             F, semi_window, k, delta, coeff_bound, positive_only=True
         )
         centers = _grid_centers(abs_window, k, step)
-        keep = []
-        for center in centers:
-            cv = center[:d]
-            if _cone_membership(vf_dirs, cv - v_f):
-                keep.append(center)
-        if not keep:
+        keep = centers[[_cone_membership(vf_dirs, c[:d] - v_f) for c in centers]]
+        if not len(keep):
             raise NotDenseAtBudget("window does not meet the translated cone")
         tree2, _ = _build_tree(semi_pts, k)
-        dists, _ = tree2.query(np.asarray(keep))
+        dists, _ = tree2.query(keep)
         worst = int(np.argmax(dists))
         covered = bool(dists[worst] <= delta)
         if covered or 2 * h_coeff * max(np.abs(vf_dirs).sum(axis=0).max(), 1.0) > coeff_bound:
@@ -349,10 +360,10 @@ def semigroup_cone_density(
         grid_step=step,
         coeff_bound=coeff_bound,
         covered=covered,
-        uncovered_farthest=None if covered else (tuple(float(x) for x in keep[worst]), float(dists[worst])),
-        points=tuple((tuple(v), tuple(c)) for v, c in semi_pts),
-        coeffs=tuple(tuple(int(x) for x in c) for c in semi_coeffs),
-        centers=tuple(tuple(float(x) for x in c) for c in keep),
+        uncovered_farthest=None if covered else (tuple(keep[worst].tolist()), float(dists[worst])),
+        points=_point_tuples(semi_pts, d),
+        coeffs=tuple(map(tuple, semi_coeffs.tolist())),
+        centers=tuple(map(tuple, keep.tolist())),
     )
     if not covered:
         raise NotDenseAtBudget(

@@ -78,6 +78,34 @@ def test_density_subcommands(workdir):
     assert json.loads(out.read_text())["covered"] is True
 
 
+@pytest.mark.parametrize("variant", ["select", "cone"])
+@pytest.mark.parametrize(
+    "points",
+    [[], [{"v": [1.0]}, {"v": [np.sqrt(2.0)], "c": [0.5]}]],
+    ids=["empty", "mixed-shapes"],
+)
+def test_density_rejects_unusable_points(workdir, variant, points):
+    path = workdir / "bad_pts.json"
+    path.write_text(json.dumps({"points": points}))
+    assert _run(["density", variant, "--input", str(path), "--delta", "0.05"]) == 2
+
+
+def test_density_failure_reports_farthest_cell(workdir):
+    path = workdir / "lattice.json"
+    path.write_text(json.dumps({"points": [{"v": [1.0]}]}))
+    out = workdir / "d.json"
+    assert _run(["density", "select", "--input", str(path), "--delta", "0.05"], out) == 1
+    report = json.loads(out.read_text())
+    assert report["covered"] is False
+    assert report["uncovered_farthest"]["distance"] > 0.05
+    assert len(report["uncovered_farthest"]["center"]) == 1
+    # the integer lattice is not dense: the cone variant fails before it has a certificate
+    assert _run(["density", "cone", "--input", str(path), "--delta", "0.05"], out) == 1
+    report = json.loads(out.read_text())
+    assert report["covered"] is False
+    assert "uncovered_farthest" not in report
+
+
 def test_schottky_build_and_cone_csv(workdir):
     out = workdir / "b.json"
     assert _run(["schottky", "build", str(workdir / "fam2.json")], out) == 0

@@ -8,6 +8,7 @@ from chamberflow.schottky_dynamics import build_schottky
 from chamberflow.torus_density import (
     DensityCertificate,
     TorusPoint,
+    _generated_group,
     jordan_density_bridge,
     select_dense_subgroup_generators,
     semigroup_cone_density,
@@ -133,3 +134,91 @@ def test_bridge_planar_triple():
     v, cert = jordan_density_bridge(fam, 2.5, window=[(0.0, 5.0), (0.0, 5.0)])
     assert cert.covered
     assert v.shape == (2,)
+
+
+def _node_by_node_group(gens, window, k, delta, coeff_bound, positive_only=False):
+    """Reference: the node-by-node BFS that _generated_group replaced."""
+    d = window.shape[0]
+    steps = []
+    for i, p in enumerate(gens):
+        unit = np.zeros(len(gens), dtype=int)
+        unit[i] = 1
+        steps.append((p.v, p.c, unit))
+        if not positive_only:
+            steps.append((-p.v, -p.c, -unit))
+    reach = max((np.linalg.norm(p.v) for p in gens), default=0.0) + delta
+    lo = window[:, 0] - reach
+    hi = window[:, 1] + reach
+    res = delta / 4.0
+    seen = {}
+    start_v, start_c = np.zeros(d), np.zeros(k)
+    start_key = (tuple(np.round(start_v / res).astype(int)), tuple(np.round((start_c % 1.0) / res).astype(int)))
+    seen[start_key] = (start_v, start_c, np.zeros(len(gens), dtype=int))
+    frontier = [start_key]
+    while frontier:
+        new_frontier = []
+        for key in frontier:
+            v, c, coeff = seen[key]
+            for sv, sc, sunit in steps:
+                nv, nc = v + sv, (c + sc) % 1.0
+                ncoeff = coeff + sunit
+                if np.any(nv < lo) or np.any(nv > hi):
+                    continue
+                if np.max(np.abs(ncoeff)) > coeff_bound:
+                    continue
+                nkey = (
+                    tuple(np.round(nv / res).astype(int)),
+                    tuple(np.round(nc / res).astype(int) % max(1, int(round(1.0 / res)))),
+                )
+                if nkey in seen:
+                    continue
+                seen[nkey] = (nv, nc, ncoeff)
+                new_frontier.append(nkey)
+        frontier = new_frontier
+    points = [(v, c) for v, c, _ in seen.values()]
+    coeffs = [coeff for _, _, coeff in seen.values()]
+    return points, coeffs
+
+
+PLANAR = [
+    TorusPoint([1.0, 0.0], [0.3]),
+    TorusPoint([1.0, 1.0], [GOLDEN]),
+    TorusPoint([np.sqrt(2.0), np.sqrt(3.0) - 1.0], [0.0]),
+]
+LINE = [TorusPoint([1.0], []), TorusPoint([np.sqrt(2)], [])]
+CIRCLE = [TorusPoint([1.0], [0.0]), TorusPoint([np.sqrt(2)], [GOLDEN])]
+
+
+@pytest.mark.parametrize(
+    "gens, window, delta, coeff_bound",
+    [
+        (LINE, [(-1.0, 1.0)], 0.05, 1000),
+        (CIRCLE, [(-1.0, 1.0)], 0.1, 1000),
+        (PLANAR, [(0.0, 2.0), (0.0, 2.0)], 0.6, 1000),
+        (CIRCLE, [(-50.0, 50.0)], 0.1, 3),
+        (CIRCLE, [(-0.2, 0.2)], 0.1, 1000),
+        ([], [(-1.0, 1.0), (0.0, 1.0)], 0.1, 1000),
+    ],
+    ids=["line-k0", "d1-k1", "planar-d2-k1", "coeff-bound-3", "clipping-window", "no-generators"],
+)
+@pytest.mark.parametrize("positive_only", [False, True], ids=["group", "semigroup"])
+def test_generated_group_matches_node_by_node_bfs(gens, window, delta, coeff_bound, positive_only):
+    window = np.asarray(window, dtype=float)
+    k = gens[0].k if gens else 1
+    d = window.shape[0]
+    points, coeffs = _generated_group(gens, window, k, delta, coeff_bound, positive_only)
+    ref_points, ref_coeffs = _node_by_node_group(gens, window, k, delta, coeff_bound, positive_only)
+    n = len(ref_points)
+    assert np.array_equal(points, np.array([np.concatenate(p) for p in ref_points]).reshape(n, d + k))
+    assert np.array_equal(coeffs, np.array(ref_coeffs).reshape(n, len(gens)))
+    if gens:
+        # which cut stopped the BFS: the coefficient bound, or else the window
+        assert (np.abs(coeffs).max() == coeff_bound) == (coeff_bound == 3)
+
+
+@pytest.mark.parametrize("call", [select_dense_subgroup_generators, semigroup_cone_density])
+def test_density_inputs_must_share_one_shape(call):
+    with pytest.raises(ValueError, match="no points"):
+        call([], 0.1, [(-1.0, 1.0)])
+    with pytest.raises(ValueError, match="mixed"):
+        call([TorusPoint([1.0], []), TorusPoint([np.sqrt(2)], [GOLDEN])], 0.1, [(-1.0, 1.0)])
