@@ -12,13 +12,14 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 
 import numpy as np
 
 from . import verify as verify_mod
 from .errors import ChamberflowError, NotDenseAtBudget
 from .linalg_core import (
+    CartanVector,
     Config,
     GroupElement,
     bruhat_lu,
@@ -31,7 +32,6 @@ from .flag_boundary import Flag, boundary_margin_estimate, is_transverse, minor_
 from .sections_cocycles import cocycle, compact_section
 from .loxodromy import classify
 from .schottky_dynamics import (
-    SchottkyFamily,
     build_schottky,
     chamber_coords,
     decorrelation_discret_check,
@@ -44,7 +44,6 @@ from .torus_density import (
     select_dense_subgroup_generators,
     semigroup_cone_density,
 )
-from .linalg_core import CartanVector
 from .reportio import (
     cone_csv,
     cone_svg,
@@ -60,50 +59,56 @@ EXIT_FAILED = 1
 EXIT_CONFIG = 2
 
 
-@dataclass
-class RunConfig:
-    n: int = 3
-    seed: int = 42
-    tolerances: Config = field(default_factory=Config)
-    max_words: int = 200_000
-    max_power: int = 8
-    mc_samples: int = 1000
-    output: str | None = None
-
-    def as_dict(self) -> dict:
-        d = {
-            "n": self.n,
-            "seed": self.seed,
-            "tolerances": asdict(self.tolerances),
-            "budgets": {
-                "max_words": self.max_words,
-                "max_power": self.max_power,
-                "mc_samples": self.mc_samples,
-            },
-        }
-        return d
+def _config_sections(config: Config) -> dict:
+    """The config-file layout of a Config: `tol_*` fields under
+    "tolerances", the budgets under "budgets"."""
+    values = asdict(config)
+    return {
+        "tolerances": {k: v for k, v in values.items() if k.startswith("tol_")},
+        "budgets": {k: v for k, v in values.items() if not k.startswith("tol_")},
+    }
 
 
-def _load_run_config(args) -> RunConfig:
-    """Precedence: defaults < command-line flags < config file < env seed."""
-    cfg = RunConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "config", None):
+def _file_value(name: str, value, kind: type):
+    """A config-file value as kind (int or float); else a configuration
+    error naming the key. bool is an int subclass but no number here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
+        raise ValueError(f"config file: {name}: must be {kind.__name__}, not {value!r}")
+    return kind(value)
+
+
+def _load_run(args) -> tuple:
+    """(config, n, seed, header) of a run, where header holds the reported
+    "config" block and its "config_hash".
+    Precedence: defaults < command-line flags < config file < env seed."""
+    n, seed, overrides = 3, 42, {}
+    if args.seed is not None:
+        seed = args.seed
+    if args.config:
         with open(args.config) as fh:
             raw = json.load(fh)
-        cfg.n = int(raw.get("n", cfg.n))
-        cfg.seed = int(raw.get("seed", cfg.seed))
-        tols = raw.get("tolerances", {})
-        cfg.tolerances = Config(**{**asdict(Config()), **tols})
-        budgets = raw.get("budgets", {})
-        cfg.max_words = int(budgets.get("max_words", cfg.max_words))
-        cfg.max_power = int(budgets.get("max_power", cfg.max_power))
-        cfg.mc_samples = int(budgets.get("mc_samples", cfg.mc_samples))
+        if not isinstance(raw, dict):
+            raise ValueError("config file: the top level must be an object")
+        sections = _config_sections(Config())
+        for key, value in raw.items():
+            if key in ("n", "seed"):
+                continue
+            if key not in sections:
+                raise ValueError(f"config file: {key}: unknown key")
+            if not isinstance(value, dict):
+                raise ValueError(f"config file: {key}: must be an object")
+            for field, v in value.items():
+                if field not in sections[key]:
+                    raise ValueError(f"config file: {key}.{field}: unknown key")
+                overrides[field] = _file_value(f"{key}.{field}", v, type(sections[key][field]))
+        n = _file_value("n", raw.get("n", n), int)
+        seed = _file_value("seed", raw.get("seed", seed), int)
     env_seed = os.environ.get("CHAMBERFLOW_SEED")
     if env_seed is not None:
-        cfg.seed = int(env_seed)
-    return cfg
+        seed = int(env_seed)
+    config = Config(**overrides)
+    block = {"n": n, "seed": seed, **_config_sections(config)}
+    return config, n, seed, {"config": block, "config_hash": config_hash(block)}
 
 
 def _read_matrix(path: str) -> GroupElement:
@@ -117,14 +122,17 @@ def _read_flag(path: str) -> Flag:
     return Flag(matrix_from_json(obj["rep"]))
 
 
-def _emit(report: dict, args) -> None:
-    text = to_json(report)
-    out = getattr(args, "output", None)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+def _emit(report: dict, args, stamped: bool = False) -> None:
+    """Write the report to --output or stdout; a stamped report is followed
+    by a timestamp object, outside the reproducible body."""
+    text = to_json(report) + "\n"
+    if stamped:
+        text += to_json({"timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}) + "\n"
+    if args.output:
+        with open(args.output, "w") as fh:
+            fh.write(text)
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
 
 
 def cmd_decompose(args) -> int:
@@ -189,20 +197,22 @@ def cmd_lox(args) -> int:
     return EXIT_OK
 
 
-def _load_family(args, cfg: RunConfig) -> SchottkyFamily:
+def _load_family(args) -> tuple:
+    """(family, config, config hash) of a family subcommand: the family in
+    args.family, built under the run's Config."""
+    config, _, _, header = _load_run(args)
     with open(args.family) as fh:
         raw = json.load(fh)
     seeds = [matrix_from_json(m) for m in raw["seeds"]]
     r = float(raw.get("r", 0.2))
     eps = float(raw.get("eps", min(r, 0.05)))
-    return build_schottky(seeds, r, eps, max_power=cfg.max_power, config=cfg.tolerances)
+    return build_schottky(seeds, r, eps, config=config), config, header["config_hash"]
 
 
 def cmd_schottky_build(args) -> int:
-    cfg = _load_run_config(args)
-    fam = _load_family(args, cfg)
+    fam, _, digest = _load_family(args)
     report = {
-        "config_hash": config_hash(cfg.as_dict()),
+        "config_hash": digest,
         "generators": len(fam.generators),
         "r": fam.r,
         "eps": fam.eps,
@@ -214,9 +224,8 @@ def cmd_schottky_build(args) -> int:
 
 
 def cmd_limit_cone(args) -> int:
-    cfg = _load_run_config(args)
-    fam = _load_family(args, cfg)
-    cone = limit_cone(fam, args.max_len, cap=cfg.max_words, config=cfg.tolerances)
+    fam, config, digest = _load_family(args)
+    cone = limit_cone(fam, args.max_len, config)
     rows = []
     for i, ray in enumerate(cone.rays):
         planar = chamber_coords(ray.coords)
@@ -244,7 +253,7 @@ def cmd_limit_cone(args) -> int:
         else:
             sys.stderr.write("svg output requires n = 3; skipped\n")
     report = {
-        "config_hash": config_hash(cfg.as_dict()),
+        "config_hash": digest,
         "rays": len(cone.rays),
         "hull": [list(h.coords) for h in cone.hull],
     }
@@ -253,11 +262,10 @@ def cmd_limit_cone(args) -> int:
 
 
 def cmd_sign_group(args) -> int:
-    cfg = _load_run_config(args)
-    fam = _load_family(args, cfg)
-    report_sg = sign_group(fam, args.max_len, cap=cfg.max_words, config=cfg.tolerances)
+    fam, config, digest = _load_family(args)
+    report_sg = sign_group(fam, args.max_len, config)
     report = {
-        "config_hash": config_hash(cfg.as_dict()),
+        "config_hash": digest,
         "p": report_sg.p,
         "order": report_sg.order,
         "basis": [list(b.signs) for b in report_sg.basis],
@@ -270,13 +278,12 @@ def cmd_sign_group(args) -> int:
 
 
 def cmd_decor_check(args) -> int:
-    cfg = _load_run_config(args)
-    fam = _load_family(args, cfg)
-    report_sg = sign_group(fam, args.max_len, cap=cfg.max_words, config=cfg.tolerances)
-    table = decorrelation_discret_check(fam, report_sg, args.n_exp, config=cfg.tolerances)
+    fam, config, digest = _load_family(args)
+    report_sg = sign_group(fam, args.max_len, config)
+    table = decorrelation_discret_check(fam, report_sg, args.n_exp, config=config)
     all_pass = all(match for _, _, match in table.values())
     report = {
-        "config_hash": config_hash(cfg.as_dict()),
+        "config_hash": digest,
         "p": report_sg.p,
         "components": {
             "".join(map(str, nu)): {
@@ -293,16 +300,13 @@ def cmd_decor_check(args) -> int:
 
 
 def cmd_mix_probe(args) -> int:
-    cfg = _load_run_config(args)
-    fam = _load_family(args, cfg)
+    fam, config, digest = _load_family(args)
     theta = CartanVector(np.asarray([float(x) for x in args.theta.split(",")]))
     window = tuple(float(x) for x in args.window.split(","))
     stats = jordan_line_density_probe(
-        fam, theta, window, args.max_len, delta0=args.delta0,
-        cap=cfg.max_words, config=cfg.tolerances,
+        fam, theta, window, args.max_len, delta0=args.delta0, config=config
     )
-    stats = {"config_hash": config_hash(cfg.as_dict()), **stats}
-    _emit(stats, args)
+    _emit({"config_hash": digest, **stats}, args)
     return EXIT_OK
 
 
@@ -339,24 +343,10 @@ def cmd_density(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _load_run_config(args)
-    rows = verify_mod.run_all(cfg.seed, n=cfg.n, config=cfg.tolerances)
+    config, n, seed, header = _load_run(args)
+    rows = verify_mod.run_all(seed, n=n, config=config)
     all_pass = all(r["passed"] for r in rows)
-    report = {
-        "config": cfg.as_dict(),
-        "config_hash": config_hash(cfg.as_dict()),
-        "identities": rows,
-        "passed": all_pass,
-    }
-    text = to_json(report)
-    stamp = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
-    out = getattr(args, "output", None)
-    payload = text + "\n" + to_json(stamp) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _emit({**header, "identities": rows, "passed": all_pass}, args, stamped=True)
     return EXIT_OK if all_pass else EXIT_FAILED
 
 

@@ -74,8 +74,8 @@ class Flag:
         return self.rep.shape[0]
 
 
-def flags_equal(xi: Flag, eta: Flag, tol: float = 1e-8) -> bool:
-    return xi.n == eta.n and bool(np.allclose(xi.rep, eta.rep, atol=tol))
+def flags_equal(xi: Flag, eta: Flag) -> bool:
+    return xi.n == eta.n and bool(np.allclose(xi.rep, eta.rep, atol=1e-8))
 
 
 def standard_flag(n: int) -> Flag:
@@ -87,13 +87,13 @@ def opposite_flag(n: int) -> Flag:
     return Flag(k_iota(n))
 
 
-def flag_of(g: GroupElement, config: Config = DEFAULT_CONFIG) -> Flag:
+def flag_of(g: GroupElement) -> Flag:
     """Flag of the nested column spans of g: K-part of its KAN decomposition."""
-    return Flag(iwasawa_kan(g, config).k)
+    return Flag(iwasawa_kan(g).k)
 
 
-def act(g: GroupElement, xi: Flag, config: Config = DEFAULT_CONFIG) -> Flag:
-    return flag_of(GroupElement(g.entries @ xi.rep), config)
+def act(g: GroupElement, xi: Flag) -> Flag:
+    return flag_of(GroupElement(g.entries @ xi.rep))
 
 
 _SIGN_ARRAY_CACHE: dict = {}

@@ -10,26 +10,31 @@ bitwise identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .errors import NonInvertible, NotInBigCell
+from .errors import BudgetExceeded, NonInvertible, NotInBigCell
 
 
 @dataclass(frozen=True)
 class Config:
-    """Central tolerance record; every operation accepts an override."""
+    """The tolerances and budgets a run can set; a function takes `config`
+    only when it, or a function it calls, reads one of these fields."""
 
-    tol_det: float = 1e-9        # relative determinant tolerance
     tol_minor: float = 1e-10     # Bruhat pivot threshold, relative to max |entry|
     tol_recon: float = 1e-9      # reconstruction tolerance
     tol_id: float = 1e-8         # identity-check tolerance
     tol_lox: float = 1e-6        # relative eigenvalue-moduli separation
+    max_words: int = 200_000     # words one Schottky word sweep may enumerate
+    max_power: int = 8           # largest power build_schottky tries to certify
 
 
 DEFAULT_CONFIG = Config()
+
+TOL_DET = 1e-9                   # relative determinant tolerance of GroupElement
+MAX_SAMPLE_TRIES = 100           # Gaussian draws random_group_element may reject
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -55,7 +60,7 @@ class GroupElement:
             raise ValueError("GroupElement entries must be finite")
         det = float(np.linalg.det(mat))
         scale = max(1.0, float(np.abs(mat).max()) ** mat.shape[0])
-        if abs(det - 1.0) > DEFAULT_CONFIG.tol_det * scale:
+        if abs(det - 1.0) > TOL_DET * scale:
             raise ValueError(f"determinant {det} is not 1 within tolerance")
 
     def inv(self) -> "GroupElement":
@@ -204,7 +209,7 @@ class IwasawaTriple:
         return self.k @ np.diag(np.exp(self.a.coords)) @ self.u
 
 
-def iwasawa_kan(g: GroupElement, config: Config = DEFAULT_CONFIG) -> IwasawaTriple:
+def iwasawa_kan(g: GroupElement) -> IwasawaTriple:
     """g = k exp(a) u with k in SO(n), u unit upper-triangular."""
     q, r = np.linalg.qr(g.entries)
     diag = np.diag(r)
@@ -223,13 +228,13 @@ def _flip(mat: np.ndarray) -> np.ndarray:
     return mat[::-1, ::-1]
 
 
-def iwasawa_kan_minus(g: GroupElement, config: Config = DEFAULT_CONFIG) -> IwasawaTriple:
+def iwasawa_kan_minus(g: GroupElement) -> IwasawaTriple:
     """g = k exp(a) u with u unit lower-triangular, via the antidiagonal flip."""
-    t = iwasawa_kan(GroupElement(_flip(g.entries)), config)
+    t = iwasawa_kan(GroupElement(_flip(g.entries)))
     return IwasawaTriple(_flip(t.k), CartanVector(t.a.coords[::-1]), _flip(t.u))
 
 
-def cartan_kak(g: GroupElement, config: Config = DEFAULT_CONFIG):
+def cartan_kak(g: GroupElement):
     """g = k1 exp(a) k2 with a non-increasing (singular values) and k1, k2 in SO(n)."""
     u, s, vt = np.linalg.svd(g.entries)
     if np.linalg.det(u) < 0:
@@ -242,7 +247,7 @@ def cartan_kak(g: GroupElement, config: Config = DEFAULT_CONFIG):
     return u, a, vt
 
 
-def jordan_projection(g: GroupElement, config: Config = DEFAULT_CONFIG) -> CartanVector:
+def jordan_projection(g: GroupElement) -> CartanVector:
     """Non-increasing logs of the eigenvalue moduli, computed on the real Schur form."""
     t, _ = scipy.linalg.schur(g.entries, output="real")
     n = g.n
@@ -293,11 +298,13 @@ def leading_minors(mat: np.ndarray) -> np.ndarray:
 
 
 def random_group_element(rng: np.random.Generator, n: int) -> GroupElement:
-    """Entrywise Gaussian sample projected onto SL(n, R)."""
-    while True:
+    """Entrywise Gaussian sample projected onto SL(n, R); raises
+    BudgetExceeded after MAX_SAMPLE_TRIES near-singular draws."""
+    for _ in range(MAX_SAMPLE_TRIES):
         mat = rng.standard_normal((n, n))
         if abs(np.linalg.det(mat)) > 1e-6:
             return project_to_sl(mat)
+    raise BudgetExceeded(f"no draw with |det| > 1e-6 in {MAX_SAMPLE_TRIES} tries")
 
 
 def random_rotation(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -116,16 +116,16 @@ def classify(g: GroupElement, config: Config = DEFAULT_CONFIG) -> LoxodromicData
     h = h / det ** (1.0 / g.n)
     diagonalizer = GroupElement(h)
     lam = CartanVector(np.log(np.abs(vals)), tag="chamber_plus_plus")
-    attracting = flag_of(diagonalizer, config)
+    attracting = flag_of(diagonalizer)
     reversed_h = h[:, ::-1].copy()
     if np.linalg.det(reversed_h) < 0:
         reversed_h[:, 0] = -reversed_h[:, 0]
-    repelling = flag_of(GroupElement(reversed_h), config)
+    repelling = flag_of(GroupElement(reversed_h))
     gap = float(np.min(-np.diff(lam.coords)))
     return LoxodromicData(g, lam, attracting, repelling, diagonalizer, gap)
 
 
-def power(L: LoxodromicData, n: int, config: Config = DEFAULT_CONFIG) -> LoxodromicData:
+def power(L: LoxodromicData, n: int) -> LoxodromicData:
     """g^n shares flags and diagonalizer with g; lam and gap scale by n."""
     mat = np.linalg.matrix_power(L.g.entries, n)
     det = np.linalg.det(mat)
@@ -176,8 +176,8 @@ def cocycle_via_jordan(
 ) -> AMElement:
     """beta_{s2,s0}(g^n, xi) through the exact loxodromic cocycle formula:
     R_{s1,s2}(g; g^n xi)^-1 L_{s1}(g)^n R_{s1,s0}(g; xi)."""
-    gn = power(L, n, config)
-    gnxi = act(gn.g, xi, config)
+    gn = power(L, n)
+    gnxi = act(gn.g, xi)
     left = ratio_at(s1, s2, L, gnxi, config).inv()
     middle = extended_jordan(s1, L, config) ** n
     right = ratio_at(s1, s0, L, xi, config)
@@ -230,7 +230,7 @@ def certify_r_eps(
             samples.append(xi)
     if len(samples) < grid:
         raise CertificationFailure("ii", "could not populate the sample grid")
-    images = [act(L.g, xi, config) for xi in samples]
+    images = [act(L.g, xi) for xi in samples]
     for xi, gxi in zip(samples, images):
         d = flag_distance(gxi, L.attracting)
         if d > eps:

@@ -30,7 +30,8 @@ from .flag_boundary import act, boundary_margin_estimate, flag_distance, is_tran
 from .loxodromy import certify_r_eps, classify, compact_section, power, ratio
 from .sections_cocycles import BHCoordinates, best_section, cocycle, covering_family
 
-DEFAULT_WORD_CAP = 200_000
+CERT_GRID = 120        # sample grid of each generator's (r, eps) certificate
+CONE_MARGIN = 1e-6     # smallest hull coefficient cone_interior calls interior
 
 
 @dataclass(frozen=True)
@@ -61,12 +62,11 @@ def build_schottky(
     seeds: list,
     r: float,
     eps: float,
-    max_power: int = 8,
-    grid: int = 120,
     config: Config = DEFAULT_CONFIG,
 ) -> SchottkyFamily:
-    """Replace each seed by its smallest (r, eps)-certified power and verify
-    the pairwise 6r separation of fixed flags from basin boundaries."""
+    """Replace each seed by its smallest (r, eps)-certified power up to
+    config.max_power; verify the pairwise 6r separation of fixed flags from
+    basin boundaries."""
     classified = [classify(GroupElement(s) if isinstance(s, np.ndarray) else s, config) for s in seeds]
     for i, a in enumerate(classified):
         for j, b in enumerate(classified):
@@ -82,17 +82,17 @@ def build_schottky(
     generators, certificates = [], []
     for idx, L in enumerate(classified):
         cert = None
-        for k in range(1, max_power + 1):
-            Lk = power(L, k, config)
+        for k in range(1, config.max_power + 1):
+            Lk = power(L, k)
             try:
-                cert = certify_r_eps(Lk, r, eps, grid=grid, config=config)
+                cert = certify_r_eps(Lk, r, eps, grid=CERT_GRID, config=config)
                 generators.append(Lk)
                 certificates.append(cert)
                 break
             except CertificationFailure:
                 continue
         if cert is None:
-            raise CannotCertify(f"seed {idx}: no power <= {max_power} certifies")
+            raise CannotCertify(f"seed {idx}: no power <= {config.max_power} certifies")
     m = len(generators)
     margins = np.zeros((m, m))
     for i, a in enumerate(generators):
@@ -192,13 +192,13 @@ def stable_word_lambdas(mats: list, length: int):
     return words, lam, np.where(overlap < 0, -1, 1)
 
 
-def _word_sweep(fam: SchottkyFamily, max_len: int, cap: int):
+def _word_sweep(fam: SchottkyFamily, max_len: int, config: Config):
     """Engine output (words, lambdas, signs) for each length 1..max_len,
-    after one check of the total word count against the budget."""
+    after one check of the total word count against config.max_words."""
     mats = [L.g.entries for L in fam.generators]
     count = sum(len(mats) ** k for k in range(1, max_len + 1))
-    if count > cap:
-        raise BudgetExceeded(f"{count} words exceeds the cap {cap}")
+    if count > config.max_words:
+        raise BudgetExceeded(f"{count} words exceeds the budget max_words = {config.max_words}")
     for length in range(1, max_len + 1):
         yield stable_word_lambdas(mats, length)
 
@@ -234,17 +234,15 @@ def _cone_estimate(rays: list, n: int, word_length: int) -> ConeEstimate:
     )
 
 
-def limit_cone(
-    fam: SchottkyFamily, max_len: int, cap: int = DEFAULT_WORD_CAP, config: Config = DEFAULT_CONFIG
-) -> ConeEstimate:
+def limit_cone(fam: SchottkyFamily, max_len: int, config: Config = DEFAULT_CONFIG) -> ConeEstimate:
     """Hull of the Jordan directions of all positive words up to max_len."""
     rays = []
-    for _, lams, _ in _word_sweep(fam, max_len, cap):
+    for _, lams, _ in _word_sweep(fam, max_len, config):
         rays.extend(_unit_rays(lams))
     return _cone_estimate(rays, fam.generators[0].g.n, max_len)
 
 
-def cone_contains(cone: ConeEstimate, direction: np.ndarray, tol: float = 1e-9) -> bool:
+def cone_contains(cone: ConeEstimate, direction: np.ndarray) -> bool:
     """Membership of a direction in the cone hull (nonneg combination)."""
     hull = np.array([h.coords for h in cone.hull]).T  # n x m
     d = np.asarray(direction, dtype=float)
@@ -252,17 +250,17 @@ def cone_contains(cone: ConeEstimate, direction: np.ndarray, tol: float = 1e-9) 
     from scipy.optimize import nnls
 
     coeffs, resid = nnls(hull, d)
-    return resid <= np.sqrt(tol)
+    return resid <= np.sqrt(1e-9)
 
 
-def cone_interior(cone: ConeEstimate, direction: np.ndarray, margin: float = 1e-6) -> bool:
+def cone_interior(cone: ConeEstimate, direction: np.ndarray) -> bool:
     """Strict interior test: strictly positive hull-ray combination."""
     hull = np.array([h.coords for h in cone.hull]).T
     d = np.asarray(direction, dtype=float)
     d = d / np.linalg.norm(d)
     m = hull.shape[1]
     if m == 1:
-        return bool(np.linalg.norm(d - hull[:, 0]) < margin)
+        return bool(np.linalg.norm(d - hull[:, 0]) < CONE_MARGIN)
     from scipy.optimize import linprog
 
     # maximize the smallest coefficient t: coeffs >= t, hull @ coeffs = d
@@ -272,7 +270,7 @@ def cone_interior(cone: ConeEstimate, direction: np.ndarray, margin: float = 1e-
     a_ub = np.hstack([-np.eye(m), np.ones((m, 1))])
     res = linprog(c, A_ub=a_ub, b_ub=np.zeros(m), A_eq=a_eq, b_eq=d,
                   bounds=[(None, None)] * m + [(None, None)], method="highs")
-    return bool(res.success and -res.fun > margin)
+    return bool(res.success and -res.fun > CONE_MARGIN)
 
 
 def _sign_bits(m: SignVector) -> tuple:
@@ -288,14 +286,12 @@ def _reduce_bits(bits: tuple, basis_bits: list) -> tuple:
     return tuple(int(v) for v in vec)
 
 
-def sign_group(
-    fam: SchottkyFamily, max_len: int, cap: int = DEFAULT_WORD_CAP, config: Config = DEFAULT_CONFIG
-) -> SignGroupReport:
+def sign_group(fam: SchottkyFamily, max_len: int, config: Config = DEFAULT_CONFIG) -> SignGroupReport:
     """The sign group M_Gamma via GF(2) elimination on the M-parts of the
     extended Jordan projections of all positive words up to max_len."""
     n = fam.generators[0].g.n
     basis, basis_bits, witnesses = [], [], []
-    for words, _, signs in _word_sweep(fam, max_len, cap):
+    for words, _, signs in _word_sweep(fam, max_len, config):
         for word, row in zip(words, signs):
             m = SignVector(tuple(int(s) for s in row))
             residual = _reduce_bits(_sign_bits(m), basis_bits)
@@ -334,7 +330,7 @@ def component_label_transport(
     acc = SignVector.identity(n)
     for idx in word:
         g = fam.generators[idx].g
-        xi_next = act(g, xi, config)
+        xi_next = act(g, xi)
         s_next = best_section(family, xi_next)
         beta = cocycle(s_next, s_cur, g, xi, config)
         acc = acc * beta.m
@@ -412,7 +408,7 @@ def decorrelation_discret_check(
                     beta = cocycle(s_next, s_prev, w.g, point, config) * beta
                 except OutOfDomain as exc:
                     raise NeedLargerN(str(exc)) from exc
-                point = act(w.g, point, config)
+                point = act(w.g, point)
                 s_prev = s_next
             # ping-pong containment: the orbit stays transverse to the next basin
             nxt = witnesses[i + 1].repelling if i + 1 < p else witnesses[i].repelling
@@ -433,7 +429,6 @@ def jordan_line_density_probe(
     window: tuple,
     max_len: int,
     delta0: float = 0.2,
-    cap: int = DEFAULT_WORD_CAP,
     config: Config = DEFAULT_CONFIG,
 ) -> dict:
     """Project Jordan vectors of all words onto the theta-line; report the
@@ -443,7 +438,7 @@ def jordan_line_density_probe(
     cone_len = min(max_len, 4)
     rays, hits = [], []
     total = 0
-    for words, lams, _ in _word_sweep(fam, max_len, cap):
+    for words, lams, _ in _word_sweep(fam, max_len, config):
         if words.shape[1] <= cone_len:
             rays.extend(_unit_rays(lams))
         total += len(lams)

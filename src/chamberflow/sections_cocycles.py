@@ -90,19 +90,22 @@ def eval_section(s: Section, xi: Flag, config: Config = DEFAULT_CONFIG) -> Group
     h = _base_frame(s.base)
     value = h @ _unipotent_at_e(h.T @ rep, config)
     if s.kind == "compact":
-        value = iwasawa_kan(GroupElement(value), config).k
+        value = iwasawa_kan(GroupElement(value)).k
     value = value @ s.offset.matrix()
     if s.translate is not None:
         value = s.translate @ value
     return GroupElement(value)
 
 
-def _upper_am_part(mat: np.ndarray, tol: float, context: str) -> AMElement:
+AM_PART_TOL = 1e-8   # largest strict lower part, relative, of an (AM)N matrix
+
+
+def _upper_am_part(mat: np.ndarray, context: str) -> AMElement:
     """Read the AM part of a matrix expected in (AM)N (upper triangular)."""
     n = mat.shape[0]
     strict_lower = np.linalg.norm(np.tril(mat, -1))
     scale = max(1.0, float(np.abs(mat).max()))
-    if strict_lower > tol * scale:
+    if strict_lower > AM_PART_TOL * scale:
         raise OutOfDomain(
             f"{context}: strict lower part {strict_lower:.3e} does not vanish"
         )
@@ -116,7 +119,7 @@ def _upper_am_part(mat: np.ndarray, tol: float, context: str) -> AMElement:
 def transition(s: Section, s2: Section, xi: Flag, config: Config = DEFAULT_CONFIG) -> AMElement:
     """T_{s,s2}(xi): the unique AM element with s2(xi) in s(xi) N T."""
     d = np.linalg.solve(eval_section(s, xi, config).entries, eval_section(s2, xi, config).entries)
-    triple = iwasawa_kan(GroupElement(d), config)
+    triple = iwasawa_kan(GroupElement(d))
     # k-part must be a diagonal sign matrix for T to land in AM
     k_off = np.linalg.norm(triple.k - np.diag(np.diag(triple.k)))
     if k_off > 1e-7:
@@ -134,16 +137,16 @@ def cocycle(
 ) -> AMElement:
     """beta_{s1,s0}(g, xi): the unique AM element with
     g s0(xi) in s1(g xi) beta N."""
-    gxi = act(g, xi, config)
+    gxi = act(g, xi)
     d = np.linalg.solve(
         eval_section(s1, gxi, config).entries, g.entries @ eval_section(s0, xi, config).entries
     )
-    return _upper_am_part(d, 1e-9 * 10, "cocycle")
+    return _upper_am_part(d, "cocycle")
 
 
-def iwasawa_cocycle(g: GroupElement, xi: Flag, config: Config = DEFAULT_CONFIG) -> CartanVector:
+def iwasawa_cocycle(g: GroupElement, xi: Flag) -> CartanVector:
     """sigma(g, xi): the a-part of the KAN decomposition of g * rep(xi)."""
-    return iwasawa_kan(GroupElement(g.entries @ xi.rep), config).a
+    return iwasawa_kan(GroupElement(g.entries @ xi.rep)).a
 
 
 @dataclass(frozen=True)
@@ -158,10 +161,10 @@ class BHCoordinates:
 
 def to_bh(g: GroupElement, s: Section, config: Config = DEFAULT_CONFIG) -> BHCoordinates:
     """(g eta0, g eta0_check ; x)_s with g = s(g eta0) u x, u in N, x in AM."""
-    xi = flag_of(g, config)
-    xi_check = flag_of(GroupElement(g.entries @ k_iota(g.n)), config)
+    xi = flag_of(g)
+    xi_check = flag_of(GroupElement(g.entries @ k_iota(g.n)))
     d = np.linalg.solve(eval_section(s, xi, config).entries, g.entries)
-    x = _upper_am_part(d, 1e-9 * 10, "to_bh")
+    x = _upper_am_part(d, "to_bh")
     return BHCoordinates(xi, xi_check, x, s)
 
 

@@ -271,12 +271,15 @@ def verify_certificate(cert: DensityCertificate, window=None) -> bool:
     return cert.covered
 
 
-def _cone_membership(vf_dirs: np.ndarray, w: np.ndarray, tol: float = 1e-9) -> bool:
+CONE_MEMBERSHIP_TOL = 1e-9   # absolute nnls residual floor of _cone_membership
+
+
+def _cone_membership(vf_dirs: np.ndarray, w: np.ndarray) -> bool:
     """Is w a nonnegative combination of the columns of vf_dirs?"""
-    if np.linalg.norm(w) < tol:
+    if np.linalg.norm(w) < CONE_MEMBERSHIP_TOL:
         return True
     coeffs, resid = nnls(vf_dirs, w)
-    return resid <= max(tol, 1e-7 * np.linalg.norm(w))
+    return resid <= max(CONE_MEMBERSHIP_TOL, 1e-7 * np.linalg.norm(w))
 
 
 def semigroup_cone_density(

@@ -54,11 +54,11 @@ def _spend_try(suite: str, tries: int, done: int, count: int) -> int:
     return tries + 1
 
 
-def _random_compact_section(rng, n, *points):
+def _random_compact_section(rng, n, config, *points):
     """A compact section whose domain contains every given flag."""
     for _ in range(MAX_TRIES_PER_SAMPLE):
         base = Flag(random_rotation(rng, n))
-        if all(is_transverse(p, base) for p in points):
+        if all(is_transverse(p, base, config) for p in points):
             return compact_section(base)
     raise BudgetExceeded(f"compact-section: no transverse base flag in {MAX_TRIES_PER_SAMPLE} tries")
 
@@ -75,11 +75,11 @@ def suite_decompositions(seed: int, n: int = 3, count: int = 30, config: Config 
     while done < count:
         tries = _spend_try("decompositions", tries, done, count)
         g = random_group_element(rng, n)
-        t = iwasawa_kan(g, config)
+        t = iwasawa_kan(g)
         worst["kan"] = max(worst["kan"], _rel_err(t.reconstruct(), g.entries))
-        t2 = iwasawa_kan_minus(g, config)
+        t2 = iwasawa_kan_minus(g)
         worst["kan_minus"] = max(worst["kan_minus"], _rel_err(t2.reconstruct(), g.entries))
-        k1, a, k2 = cartan_kak(g, config)
+        k1, a, k2 = cartan_kak(g)
         worst["cartan"] = max(
             worst["cartan"], _rel_err(k1 @ np.diag(np.exp(a.coords)) @ k2, g.entries)
         )
@@ -109,18 +109,18 @@ def suite_cocycles(seed: int, n: int = 3, count: int = 20, config: Config = DEFA
             gj = random_group_element(rng, n)
             gk = random_group_element(rng, n)
             xi = Flag(random_rotation(rng, n))
-            gjxi = act(gj, xi, config)
-            gkji = act(gk, gjxi, config)
-            si = _random_compact_section(rng, n, xi)
-            sj = _random_compact_section(rng, n, gjxi)
-            sk = _random_compact_section(rng, n, gkji)
+            gjxi = act(gj, xi)
+            gkji = act(gk, gjxi)
+            si = _random_compact_section(rng, n, config, xi)
+            sj = _random_compact_section(rng, n, config, gjxi)
+            sk = _random_compact_section(rng, n, config, gkji)
             # cocycle relation
             lhs = cocycle(sk, si, GroupElement(gk.entries @ gj.entries), xi, config)
             rhs = cocycle(sk, sj, gk, gjxi, config) * cocycle(sj, si, gj, xi, config)
             worst_rel = max(worst_rel, am_distance(lhs, rhs))
             # Chasles for transitions at a shared flag
-            s2 = _random_compact_section(rng, n, xi)
-            s3 = _random_compact_section(rng, n, xi)
+            s2 = _random_compact_section(rng, n, config, xi)
+            s3 = _random_compact_section(rng, n, config, xi)
             t_direct = transition(s3, si, xi, config)
             t_comp = transition(s3, s2, xi, config) * transition(s2, si, xi, config)
             worst_chasles = max(worst_chasles, am_distance(t_direct, t_comp))
@@ -129,8 +129,8 @@ def suite_cocycles(seed: int, n: int = 3, count: int = 20, config: Config = DEFA
             )
             worst_chasles = max(worst_chasles, inv_res)
             # cohomology bridge
-            s1p = _random_compact_section(rng, n, gjxi)
-            s0p = _random_compact_section(rng, n, xi)
+            s1p = _random_compact_section(rng, n, config, gjxi)
+            s0p = _random_compact_section(rng, n, config, xi)
             bridge = (
                 transition(s1p, sj, gjxi, config)
                 * cocycle(sj, si, gj, xi, config)
@@ -141,7 +141,7 @@ def suite_cocycles(seed: int, n: int = 3, count: int = 20, config: Config = DEFA
             )
             # Hopf compatibility: compact-section cocycle A-part = Iwasawa cocycle
             beta = cocycle(sj, si, gj, xi, config)
-            sigma = iwasawa_cocycle(gj, xi, config)
+            sigma = iwasawa_cocycle(gj, xi)
             worst_hopf = max(worst_hopf, float(np.abs(beta.a.coords - sigma.coords).max()))
         except (OutOfDomain, NotInBigCell):
             continue
@@ -162,7 +162,7 @@ def suite_bh(seed: int, n: int = 3, count: int = 20, config: Config = DEFAULT_CO
         tries = _spend_try("bruhat-hopf", tries, done, count)
         try:
             g = random_group_element(rng, n)
-            s = _random_compact_section(rng, n, flag_of(g, config))
+            s = _random_compact_section(rng, n, config, flag_of(g))
             c = to_bh(g, s, config)
             back = from_bh(c, config)
             worst = max(worst, _rel_err(back.entries, g.entries))
@@ -193,18 +193,18 @@ def suite_loxodromy(seed: int, n: int = 3, count: int = 20, config: Config = DEF
             continue
         try:
             # sigma(g, g+) = lambda(g)
-            sigma = iwasawa_cocycle(L.g, L.attracting, config)
+            sigma = iwasawa_cocycle(L.g, L.attracting)
             worst_sigma = max(worst_sigma, float(np.abs(sigma.coords - L.lam.coords).max()))
             # power formula in the repelling unipotent chart
             s_rep = unipotent_section(L.repelling)
             xi = Flag(random_rotation(rng, n))
             if not is_transverse(xi, L.repelling, config):
                 continue
-            lhs = cocycle(s_rep, s_rep, power(L, 3, config).g, xi, config)
+            lhs = cocycle(s_rep, s_rep, power(L, 3).g, xi, config)
             rhs = extended_jordan(s_rep, L, config) ** 3
             worst_power = max(worst_power, am_distance(lhs, rhs))
             # A-part of the extended Jordan projection is the Jordan projection
-            s = _random_compact_section(rng, n, L.attracting)
+            s = _random_compact_section(rng, n, config, L.attracting)
             lox = extended_jordan(s, L, config)
             worst_fact = max(worst_fact, float(np.abs(lox.a.coords - L.lam.coords).max()))
         except (OutOfDomain, NotInBigCell):
@@ -229,8 +229,8 @@ def suite_flags(seed: int, n: int = 3, count: int = 30, config: Config = DEFAULT
         worst_inv = max(worst_inv, abs(d0 - d1))
         g = random_group_element(rng, n)
         h = random_group_element(rng, n)
-        lhs = act(GroupElement(g.entries @ h.entries), xi, config)
-        rhs = act(g, act(h, xi, config), config)
+        lhs = act(GroupElement(g.entries @ h.entries), xi)
+        rhs = act(g, act(h, xi))
         worst_assoc = max(worst_assoc, flag_distance(lhs, rhs))
     return [
         ("metric-k-invariance", worst_inv, config.tol_recon),

@@ -161,6 +161,42 @@ def test_configuration_error_exit_codes(workdir):
     assert main(["decompose", str(bad)]) == 2
 
 
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"tolerances": {"tol_typo": 1e-9}}, "tolerances.tol_typo"),
+        ({"tolerances": {"tol_det": 1e-9}}, "tolerances.tol_det"),
+        ({"tolerances": {"tol_recon": "tight"}}, "tolerances.tol_recon"),
+        ({"budgets": {"mc_samples": 1000}}, "budgets.mc_samples"),
+        ({"budgets": {"max_words": 1e5}}, "budgets.max_words"),
+        ({"budgets": {"max_words": True}}, "budgets.max_words"),
+        ({"budget": {"max_words": 10}}, "budget"),
+        ({"tolerances": [1e-9]}, "tolerances"),
+        ({"n": None}, "n"),
+    ],
+    ids=[
+        "unknown-tolerance", "removed-tol_det", "non-numeric-tolerance", "removed-mc_samples",
+        "float-budget", "bool-budget", "unknown-top-level", "section-not-object", "null-n",
+    ],
+)
+def test_config_file_errors_name_the_key(workdir, capsys, config, key):
+    path = workdir / "bad_config.json"
+    path.write_text(json.dumps(config))
+    assert main(["verify", "--config", str(path)]) == 2
+    assert main(["sign-group", str(workdir / "fam2.json"), "--config", str(path)]) == 2
+    assert capsys.readouterr().err.count(f"configuration error: config file: {key}: ") == 2
+
+
+def test_config_file_word_budget_is_honoured(workdir, capsys):
+    path = workdir / "budget.json"
+    path.write_text(json.dumps({"budgets": {"max_words": 10}}))
+    family = str(workdir / "fam2.json")
+    assert main(["limit-cone", family, "--max-len", "3", "--config", str(path)]) == 1
+    assert "max_words = 10" in capsys.readouterr().err
+    # 2 + 4 words up to length 2 fit in the budget
+    assert main(["limit-cone", family, "--max-len", "2", "--config", str(path)]) == 0
+
+
 def test_verify_failure_reporting(workdir):
     cfg = workdir / "tight.json"
     cfg.write_text(json.dumps({"tolerances": {"tol_recon": 1e-15}}))

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from chamberflow.errors import NotInBigCell
+from chamberflow.errors import BudgetExceeded, NotInBigCell
 from chamberflow.linalg_core import (
     AMElement,
     CartanVector,
     GroupElement,
+    MAX_SAMPLE_TRIES,
     SignVector,
     am_distance,
     bruhat_lu,
@@ -23,6 +24,21 @@ from chamberflow.linalg_core import (
 def test_group_element_rejects_wrong_determinant():
     with pytest.raises(ValueError):
         GroupElement(np.diag([2.0, 1.0]))
+
+
+def test_random_group_element_gives_up_on_singular_draws():
+    class SingularDraws:
+        def __init__(self):
+            self.draws = 0
+
+        def standard_normal(self, shape):
+            self.draws += 1
+            return np.zeros(shape)
+
+    rng = SingularDraws()
+    with pytest.raises(BudgetExceeded):
+        random_group_element(rng, 3)
+    assert rng.draws == MAX_SAMPLE_TRIES
 
 
 def test_project_to_sl_normalizes_and_fixes_orientation():

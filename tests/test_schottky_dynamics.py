@@ -8,6 +8,7 @@ from chamberflow.errors import BudgetExceeded, NotGeneric
 from chamberflow.linalg_core import (
     AMElement,
     CartanVector,
+    Config,
     GroupElement,
     SignVector,
     jordan_projection,
@@ -81,9 +82,9 @@ def test_stable_word_lambdas_against_mpmath(family, request):
 
 def test_word_sweep_budget(cone_family):
     with pytest.raises(BudgetExceeded):
-        limit_cone(cone_family, 10, cap=1000)
+        limit_cone(cone_family, 10, Config(max_words=1000))
     with pytest.raises(BudgetExceeded):
-        sign_group(cone_family, 10, cap=1000)
+        sign_group(cone_family, 10, Config(max_words=1000))
 
 
 def test_build_schottky_selects_certified_powers(sl3_triple):

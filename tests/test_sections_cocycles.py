@@ -44,7 +44,7 @@ def test_section_evaluates_to_a_representative_of_the_flag():
     if not is_transverse(xi, base):
         return
     rep = eval_section(s, xi)
-    assert flags_equal(flag_of(rep), xi, tol=1e-8)
+    assert flags_equal(flag_of(rep), xi)
 
 
 def test_unipotent_section_rejects_points_outside_its_cell():
