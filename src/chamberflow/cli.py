@@ -136,6 +136,7 @@ def _emit(report: dict, args, stamped: bool = False) -> None:
 
 
 def cmd_decompose(args) -> int:
+    config = _load_run(args)[0]
     g = _read_matrix(args.matrix)
     kind = args.kind
     if kind == "kan":
@@ -148,7 +149,7 @@ def cmd_decompose(args) -> int:
         k1, a, k2 = cartan_kak(g)
         report = {"k1": matrix_to_json(k1), "a": list(a.coords), "k2": matrix_to_json(k2)}
     elif kind == "bruhat":
-        lower, x, upper = bruhat_lu(g)
+        lower, x, upper = bruhat_lu(g, config)
         report = {
             "u_minus": matrix_to_json(lower),
             "a": list(x.a.coords),
@@ -162,12 +163,13 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_transverse(args) -> int:
+    config = _load_run(args)[0]
     a = _read_flag(args.flag_a)
     b = _read_flag(args.flag_b)
-    transverse = is_transverse(a, b)
+    transverse = is_transverse(a, b, config)
     report = {
         "transverse": transverse,
-        "margin": boundary_margin_estimate(a, b),
+        "margin": boundary_margin_estimate(a, b, config),
         "minor_margin": minor_margin(a, b),
     }
     _emit(report, args)
@@ -175,18 +177,20 @@ def cmd_transverse(args) -> int:
 
 
 def cmd_cocycle(args) -> int:
+    config = _load_run(args)[0]
     s1 = compact_section(_read_flag(args.s1))
     s0 = compact_section(_read_flag(args.s0))
     g = _read_matrix(args.g)
     xi = _read_flag(args.xi)
-    beta = cocycle(s1, s0, g, xi)
+    beta = cocycle(s1, s0, g, xi, config)
     _emit({"a": list(beta.a.coords), "m": list(beta.m.signs)}, args)
     return EXIT_OK
 
 
 def cmd_lox(args) -> int:
+    config = _load_run(args)[0]
     g = _read_matrix(args.matrix)
-    L = classify(g)
+    L = classify(g, config)
     report = {
         "lambda": list(L.lam.coords),
         "attracting": flag_to_json(L.attracting),
@@ -317,6 +321,7 @@ def _read_points(path: str) -> list:
 
 
 def cmd_density(args) -> int:
+    _load_run(args)  # no density routine reads Config; the file is only validated
     points = _read_points(args.input)
     window = [tuple(float(x) for x in pair.split(",")) for pair in args.window.split(";")]
     report = {"covered": True}

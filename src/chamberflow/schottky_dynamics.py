@@ -64,21 +64,30 @@ def build_schottky(
     eps: float,
     config: Config = DEFAULT_CONFIG,
 ) -> SchottkyFamily:
-    """Replace each seed by its smallest (r, eps)-certified power up to
-    config.max_power; verify the pairwise 6r separation of fixed flags from
-    basin boundaries."""
+    """Check the pairwise 6r separation of the seeds' fixed flags from basin
+    boundaries, then replace each seed by its smallest (r, eps)-certified
+    power up to config.max_power.
+
+    A power shares its fixed flags with the seed, so the margins are
+    decided before any power is certified; a non-transverse pair has
+    margin 0 and is refused with the rest."""
     classified = [classify(GroupElement(s) if isinstance(s, np.ndarray) else s, config) for s in seeds]
     for i, a in enumerate(classified):
-        for j, b in enumerate(classified):
-            if i == j:
-                continue
-            if not is_transverse(a.attracting, b.repelling, config):
-                raise NotGeneric(f"seed {i}+ shares a flag with seed {j}-")
-            if j < i and (
+        for j, b in enumerate(classified[:i]):
+            if (
                 flag_distance(a.attracting, b.attracting) < 1e-8
                 or flag_distance(a.repelling, b.repelling) < 1e-8
             ):
                 raise NotGeneric(f"seeds {j} and {i} share a fixed flag")
+    m = len(classified)
+    margins = np.zeros((m, m))
+    for i, a in enumerate(classified):
+        for j, b in enumerate(classified):
+            margins[i, j] = boundary_margin_estimate(a.attracting, b.repelling, config=config)
+            if margins[i, j] < 6 * r:
+                raise NotGeneric(
+                    f"margin d(g{i}+, boundary b(g{j}-)) = {margins[i, j]:.4f} < 6r"
+                )
     generators, certificates = [], []
     for idx, L in enumerate(classified):
         cert = None
@@ -93,15 +102,6 @@ def build_schottky(
                 continue
         if cert is None:
             raise CannotCertify(f"seed {idx}: no power <= {config.max_power} certifies")
-    m = len(generators)
-    margins = np.zeros((m, m))
-    for i, a in enumerate(generators):
-        for j, b in enumerate(generators):
-            margins[i, j] = boundary_margin_estimate(a.attracting, b.repelling, config=config)
-            if margins[i, j] < 6 * r:
-                raise NotGeneric(
-                    f"margin d(g{i}+, boundary b(g{j}-)) = {margins[i, j]:.4f} < 6r"
-                )
     return SchottkyFamily(tuple(generators), r, eps, tuple(certificates), margins)
 
 

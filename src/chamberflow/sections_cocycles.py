@@ -11,7 +11,7 @@ families used by the equicontinuity estimates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .linalg_core import (
     iwasawa_kan,
     leading_minors,
 )
-from .flag_boundary import Flag, act, flag_of, is_transverse, k_iota
+from .flag_boundary import Flag, act, flag_of, k_iota
 
 
 @dataclass(frozen=True)
@@ -208,10 +208,9 @@ def permutation_flag(n: int, perm: tuple) -> Flag:
     return Flag(p)
 
 
-def covering_family(n: int, kind: str = "compact") -> list:
-    """The default covering family: one section per permutation flag."""
-    maker = compact_section if kind == "compact" else unipotent_section
-    return [maker(permutation_flag(n, perm)) for perm in itertools.permutations(range(n))]
+def covering_family(n: int) -> list:
+    """The default covering family: one compact section per permutation flag."""
+    return [compact_section(permutation_flag(n, perm)) for perm in itertools.permutations(range(n))]
 
 
 def best_section(family: list, xi: Flag) -> Section:

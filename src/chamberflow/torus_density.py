@@ -24,6 +24,8 @@ from scipy.spatial import cKDTree
 
 from .errors import NotDenseAtBudget
 
+COEFF_BOUND = 1000   # largest |coefficient| the (semi)group enumeration reaches
+
 
 @dataclass(frozen=True)
 class TorusPoint:
@@ -197,20 +199,18 @@ def select_dense_subgroup_generators(
     E: list,
     delta: float,
     window,
-    coeff_bound: int = 1000,
-    grid_step: float | None = None,
 ) -> DensityCertificate:
     """Pick at most 3d + 2k elements of E whose generated group delta-covers
-    window x torus (verified on a grid of step <= delta / 2)."""
+    window x torus (verified on a grid of step delta / 2)."""
     window = np.atleast_2d(np.asarray(window, dtype=float))
     d, k = _common_shape(E)
-    step = grid_step if grid_step is not None else delta / 2.0
+    step = delta / 2.0
     limit = 3 * d + 2 * k
     subset_idx = _greedy_v_basis(E, d)
     remaining = [i for i in range(len(E)) if i not in subset_idx]
 
     def covered_with(indices):
-        pts, coeffs = _generated_group([E[i] for i in indices], window, k, delta, coeff_bound)
+        pts, coeffs = _generated_group([E[i] for i in indices], window, k, delta, COEFF_BOUND)
         ok, far = _coverage(pts, k, window, delta, step)
         return ok, far, pts, coeffs
 
@@ -233,7 +233,7 @@ def select_dense_subgroup_generators(
         delta=delta,
         subset=tuple(E[i] for i in subset_idx),
         grid_step=step,
-        coeff_bound=coeff_bound,
+        coeff_bound=COEFF_BOUND,
         covered=ok,
         uncovered_farthest=None if ok else far,
         points=_point_tuples(pts, d),
@@ -247,22 +247,17 @@ def select_dense_subgroup_generators(
     return cert
 
 
-def verify_certificate(cert: DensityCertificate, window=None) -> bool:
+def verify_certificate(cert: DensityCertificate) -> bool:
     """Independent single-pass re-verification of a covering certificate.
 
-    Replays the certified cell centers (or a fresh grid over `window` when
-    one is given) against the recorded points with plain loops, no trees.
+    Replays the certified cell centers against the recorded points with
+    plain loops, no trees.
     """
     k = cert.subset[0].k
     d = cert.subset[0].d
     pv = np.asarray([v for v, _ in cert.points], dtype=float)
     pc = np.asarray([c for _, c in cert.points], dtype=float).reshape(len(cert.points), k)
-    if window is None:
-        centers = np.asarray(cert.centers, dtype=float)
-    else:
-        window = np.atleast_2d(np.asarray(window, dtype=float))
-        centers = _grid_centers(window, k, cert.grid_step)
-    for center in centers:
+    for center in np.asarray(cert.centers, dtype=float):
         dv2 = ((pv - center[:d]) ** 2).sum(axis=1)
         wrap = np.abs(pc - center[d:]) % 1.0
         dc2 = (np.minimum(wrap, 1.0 - wrap) ** 2).sum(axis=1)
@@ -286,8 +281,6 @@ def semigroup_cone_density(
     F: list,
     delta: float,
     window,
-    coeff_bound: int = 1000,
-    grid_step: float | None = None,
 ):
     """Find v_F such that the positive semigroup of F is delta-dense in
     (v_F + cone(F)) x C, certified on the window.
@@ -296,7 +289,7 @@ def semigroup_cone_density(
     """
     window = np.atleast_2d(np.asarray(window, dtype=float))
     d, k = _common_shape(F)
-    step = grid_step if grid_step is not None else delta / 2.0
+    step = delta / 2.0
     # 1. group-density pre-check on the zonotope of the V-parts; the BFS
     #    corridor must contain the zonotope, which can exceed the user window
     fv_stack = np.asarray([f.v for f in F])
@@ -305,7 +298,7 @@ def semigroup_cone_density(
     pre_window = np.stack(
         [np.minimum(window[:, 0], zono_lo), np.maximum(window[:, 1], zono_hi)], axis=1
     )
-    group_pts, group_coeffs = _generated_group(F, pre_window, k, delta, coeff_bound)
+    group_pts, group_coeffs = _generated_group(F, pre_window, k, delta, COEFF_BOUND)
     t_axes = np.linspace(0.0, 1.0, max(2, int(np.ceil(2.0 / delta)) + 1))
     mesh = np.meshgrid(*([t_axes] * len(F)), indexing="ij")
     targets = sum(m.ravel()[:, None] * f.v for m, f in zip(mesh, F))
@@ -344,7 +337,7 @@ def semigroup_cone_density(
             axis=1,
         )
         semi_pts, semi_coeffs = _generated_group(
-            F, semi_window, k, delta, coeff_bound, positive_only=True
+            F, semi_window, k, delta, COEFF_BOUND, positive_only=True
         )
         centers = _grid_centers(abs_window, k, step)
         keep = centers[[_cone_membership(vf_dirs, c[:d] - v_f) for c in centers]]
@@ -354,14 +347,14 @@ def semigroup_cone_density(
         dists, _ = tree2.query(keep)
         worst = int(np.argmax(dists))
         covered = bool(dists[worst] <= delta)
-        if covered or 2 * h_coeff * max(np.abs(vf_dirs).sum(axis=0).max(), 1.0) > coeff_bound:
+        if covered or 2 * h_coeff * max(np.abs(vf_dirs).sum(axis=0).max(), 1.0) > COEFF_BOUND:
             break
         h_coeff *= 2
     cert = DensityCertificate(
         delta=delta,
         subset=tuple(F),
         grid_step=step,
-        coeff_bound=coeff_bound,
+        coeff_bound=COEFF_BOUND,
         covered=covered,
         uncovered_farthest=None if covered else (tuple(keep[worst].tolist()), float(dists[worst])),
         points=_point_tuples(semi_pts, d),

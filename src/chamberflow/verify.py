@@ -12,7 +12,6 @@ import numpy as np
 
 from .errors import BudgetExceeded, ChamberflowError, NotInBigCell, NotLoxodromic, OutOfDomain
 from .linalg_core import (
-    AMElement,
     Config,
     DEFAULT_CONFIG,
     GroupElement,
@@ -21,23 +20,20 @@ from .linalg_core import (
     cartan_kak,
     iwasawa_kan,
     iwasawa_kan_minus,
-    jordan_projection,
     random_group_element,
     random_rotation,
 )
 from .flag_boundary import Flag, act, flag_distance, flag_of, is_transverse
 from .sections_cocycles import (
-    Section,
     cocycle,
     compact_section,
-    eval_section,
     from_bh,
     iwasawa_cocycle,
     to_bh,
     transition,
     unipotent_section,
 )
-from .loxodromy import classify, cocycle_via_jordan, extended_jordan, power
+from .loxodromy import classify, extended_jordan, power
 
 
 # draws a sampling loop may make per sample it must deliver.  The loxodromy

@@ -217,3 +217,33 @@ def test_env_seed_overrides_flag(workdir, monkeypatch):
     body1 = out1.read_text().splitlines()[:-3]
     body2 = out2.read_text().splitlines()[:-3]
     assert body1 == body2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "g.json", "--kind", "bruhat"],
+        ["transverse", "fa.json", "fb.json"],
+        ["cocycle", "--s1", "fb.json", "--s0", "fb.json", "--g", "g.json", "--xi", "fa.json"],
+        ["lox", "g.json"],
+        ["density", "select", "--input", "pts.json", "--delta", "0.05"],
+    ],
+    ids=["decompose", "transverse", "cocycle", "lox", "density"],
+)
+def test_single_shot_commands_validate_the_config_file(workdir, capsys, argv):
+    argv = [str(workdir / a) if a.endswith(".json") else a for a in argv]
+    assert main(argv) == 0
+    path = workdir / "bad_config.json"
+    path.write_text(json.dumps({"tolerances": {"tol_typo": 1e-9}}))
+    assert main(argv + ["--config", str(path)]) == 2
+    assert "config file: tolerances.tol_typo: unknown key" in capsys.readouterr().err
+
+
+def test_lox_honours_the_config_file_tolerance(workdir, capsys):
+    path = workdir / "strict.json"
+    path.write_text(json.dumps({"tolerances": {"tol_lox": 0.99}}))
+    matrix = str(workdir / "g.json")
+    assert main(["lox", matrix]) == 0
+    # the relative modulus gaps of diag(4, 1, 1/4) are 0.75, below 0.99
+    assert main(["lox", matrix, "--config", str(path)]) == 1
+    assert "eigenvalue moduli not separated" in capsys.readouterr().err

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from chamberflow.errors import CertificationFailure, HypothesisViolated, NotLoxodromic
-from chamberflow.flag_boundary import Flag, flag_distance, flags_equal, opposite_flag, standard_flag
+from chamberflow.errors import BudgetExceeded, CertificationFailure, HypothesisViolated, NotLoxodromic
+from chamberflow.flag_boundary import (
+    Flag,
+    boundary_margin_estimate,
+    flag_distance,
+    flags_equal,
+    opposite_flag,
+    standard_flag,
+)
 from chamberflow.linalg_core import GroupElement, am_distance, random_rotation
 from chamberflow.loxodromy import (
     certify_r_eps,
@@ -14,6 +21,7 @@ from chamberflow.loxodromy import (
     product_estimate,
     ratio,
     ratio_at,
+    _sample_k_r,
 )
 from chamberflow.sections_cocycles import cocycle, compact_section
 
@@ -109,6 +117,35 @@ def test_equicontinuity_estimate_is_deterministic():
     d2 = delta_r_eps(0.3, 0.2, mc_samples=50, seed=7, n=2)
     assert d1 == d2
     assert d1 > 0.0
+
+
+def test_equicontinuity_estimate_budget():
+    # every flag lies within 2 < 3r = 2.1 of the cell boundary, so no xi1 qualifies
+    with pytest.raises(BudgetExceeded, match="accepted 0 of 500 draws"):
+        delta_r_eps(0.7, 0.1, mc_samples=5, seed=0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("r", [0.05, 0.3])
+def test_k_r_draws_keep_the_boundary_neighbourhood(n, r):
+    """A draw moves a flag by at most r/2, so a flag within r of the boundary
+    of b(opposite flag) stays within 1.5r of it."""
+    rng = np.random.default_rng(100 * n + int(100 * r))
+    check = opposite_flag(n)
+    near = []
+    for _ in range(20000):
+        xi = Flag(random_rotation(rng, n))
+        if boundary_margin_estimate(xi, check) <= r:
+            near.append(xi)
+            if len(near) == 12:
+                break
+    assert len(near) == 12
+    for _ in range(12):
+        h = _sample_k_r(rng, n, r)
+        for xi in near:
+            moved = Flag(h @ xi.rep)
+            assert flag_distance(moved, xi) <= 0.5 * r + 1e-12
+            assert boundary_margin_estimate(moved, check) <= 1.5 * r + 1e-12
 
 
 def test_product_estimate_rejects_basepoint_near_boundary(sl2_pair):

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from chamberflow import schottky_dynamics
 from chamberflow.errors import BudgetExceeded, NotGeneric
 from chamberflow.linalg_core import (
     AMElement,
@@ -101,6 +102,32 @@ def test_build_schottky_rejects_shared_flags():
     g = np.diag([9.0, 1 / 9.0])
     with pytest.raises(NotGeneric):
         build_schottky([g, g], 0.18, 0.16)
+    # no shared flag, but g2+ = (e1, e3, e2) meets g1- = (e3, e2, e1) in its
+    # 2-plane: the pair is not transverse, margin 0
+    g1 = np.diag([9.0, 1.0, 1 / 9.0])
+    swap = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
+    with pytest.raises(NotGeneric, match=r"= 0\.0000 < 6r"):
+        build_schottky([g1, swap @ g1 @ swap.T], 0.18, 0.16)
+
+
+def test_build_schottky_decides_margins_before_certifying(monkeypatch):
+    calls = []
+    real = schottky_dynamics.certify_r_eps
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(schottky_dynamics, "certify_r_eps", counting)
+    g1 = np.diag([9.0, 1 / 9.0])
+    g2 = rotation2(np.pi / 4) @ g1 @ rotation2(np.pi / 4).T
+    # the off-diagonal margins are 1.0824: above 6r at r = 0.18, below at r = 0.2
+    assert len(build_schottky([g1, g2], 0.18, 0.16).generators) == 2
+    assert calls
+    calls.clear()
+    with pytest.raises(NotGeneric, match="< 6r"):
+        build_schottky([g1, g2], 0.2, 0.16)
+    assert calls == []
 
 
 def test_limit_cone_single_generator(cone_family):
