@@ -230,20 +230,18 @@ def cmd_schottky_build(args) -> int:
 def cmd_limit_cone(args) -> int:
     fam, config, digest = _load_family(args)
     cone = limit_cone(fam, args.max_len, config)
-    rows = []
-    for i, ray in enumerate(cone.rays):
-        planar = chamber_coords(ray.coords)
-        dir_x = float(planar[0])
-        dir_y = float(planar[1]) if planar.shape[0] > 1 else 0.0
-        rows.append(
-            {
-                "word_id": i,
-                "length": cone.word_length,
-                "lambda": list(ray.coords),
-                "dir_x": dir_x,
-                "dir_y": dir_y,
-            }
-        )
+    planar = chamber_coords(np.array([ray.coords for ray in cone.rays]))
+    dir_y = planar[:, 1] if planar.shape[1] > 1 else np.zeros(len(planar))
+    rows = [
+        {
+            "word_id": i,
+            "length": cone.word_length,
+            "lambda": list(ray.coords),
+            "dir_x": float(x),
+            "dir_y": float(y),
+        }
+        for i, (ray, x, y) in enumerate(zip(cone.rays, planar[:, 0], dir_y))
+    ]
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write(cone_csv(rows))
@@ -251,7 +249,7 @@ def cmd_limit_cone(args) -> int:
         n = fam.generators[0].g.n
         if n == 3:
             points = [(r["dir_x"], r["dir_y"]) for r in rows]
-            hull_planar = [chamber_coords(h.coords) for h in cone.hull]
+            hull_planar = chamber_coords(np.array([h.coords for h in cone.hull]))
             with open(args.svg, "w") as fh:
                 fh.write(cone_svg(points, hull_planar))
         else:

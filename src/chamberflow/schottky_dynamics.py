@@ -117,17 +117,19 @@ def _chamber_basis(n: int) -> np.ndarray:
 
 
 def chamber_coords(lam: np.ndarray) -> np.ndarray:
-    """Coordinates of a sum-zero vector in the orthonormal chamber basis."""
-    return _chamber_basis(lam.shape[0]).T @ lam
+    """Coordinates of sum-zero vectors (the last axis) in the orthonormal
+    chamber basis."""
+    return lam @ _chamber_basis(lam.shape[-1])
 
 
-def _planar_hull(dirs: list) -> list:
-    """Extreme rays of the cone hull of 2-D directions within a half-plane."""
-    angles = [np.arctan2(d[1], d[0]) for d in dirs]
+def _planar_hull(dirs: np.ndarray) -> np.ndarray:
+    """Extreme rays, as rows, of the cone hull of the rows of an (N, 2)
+    direction array within a half-plane."""
+    angles = np.arctan2(dirs[:, 1], dirs[:, 0])
     lo, hi = int(np.argmin(angles)), int(np.argmax(angles))
     if angles[hi] - angles[lo] < 1e-9:
-        return [dirs[lo]]
-    return [dirs[lo], dirs[hi]]
+        return dirs[[lo]]
+    return dirs[[lo, hi]]
 
 
 def _word_array(num_gens: int, length: int) -> np.ndarray:
@@ -147,9 +149,28 @@ def _batched_qr_positive(frames: np.ndarray):
     return q, np.log(np.abs(diag))
 
 
+def _necklace_index(num_gens: int, length: int):
+    """Necklace representatives of the words of `_word_array(num_gens,
+    length)`: (reps, inverse), where reps are the row indices of the
+    lexicographically least rotations and row i lies in the necklace of
+    row reps[inverse[i]]. A row's index is its word read as an integer in
+    base num_gens, so the least rotation has the least index."""
+    top = num_gens ** (length - 1)
+    codes = np.arange(num_gens * top)
+    least = codes
+    for _ in range(length - 1):
+        codes = (codes % top) * num_gens + codes // top
+        least = np.minimum(least, codes)
+    return np.unique(least, return_inverse=True)
+
+
 def stable_word_lambdas(mats: list, length: int):
     """Jordan projections and eigenvalue signs of all positive words of a
     given length, computed without ever forming the word products.
+
+    Both are conjugation invariants, so every cyclic rotation of a word has
+    the values of its necklace; the sweeps below run once per necklace, on
+    its least rotation, and the results are scattered to every word.
 
     A first sweep of per-letter applications converges a frame F0 to each
     word's attracting flag; a second sweep accumulates the per-letter
@@ -161,35 +182,38 @@ def stable_word_lambdas(mats: list, length: int):
     Since w F0 = F1 R with R upper triangular and positive on the diagonal,
     and F1 = F0 S on the attracting flag, F0^T w F0 = S R: the signs of the
     eigenvalues in decreasing modulus order are S = sign(diag(F0^T F1)).
-    Returns (words, lambdas, signs) with words of shape (N, length); raises
-    NotLoxodromic if some frame has not converged (|diag(F0^T F1)| < 1/2).
+    Returns (words, lambdas, signs) for all words, in lexicographic order,
+    with words of shape (N, length); raises NotLoxodromic if some
+    necklace's frame has not converged (|diag(F0^T F1)| < 1/2).
     """
     n = mats[0].shape[0]
     words = _word_array(len(mats), length)
-    big = len(words)
+    reps, inverse = _necklace_index(len(mats), length)
+    swept = words[reps]
+    big = len(swept)
     xi_star = np.linalg.qr(np.random.default_rng(12345).standard_normal((n, n)))[0]
     frames = np.broadcast_to(xi_star, (big, n, n)).copy()
     stacked = np.asarray(mats)
     for _ in range(max(2, int(np.ceil(24.0 / length)))):
         for j in range(length):
-            frames = stacked[words[:, j]] @ frames
+            frames = stacked[swept[:, j]] @ frames
             frames, _ = _batched_qr_positive(frames)
     start = frames
     lam = np.zeros((big, n))
     for j in range(length):
-        frames = stacked[words[:, j]] @ frames
+        frames = stacked[swept[:, j]] @ frames
         frames, logs = _batched_qr_positive(frames)
         lam += logs
     lam -= lam.mean(axis=1, keepdims=True)
     overlap = np.einsum("bij,bij->bj", start, frames)
     stalled = np.abs(overlap).min(axis=1) < 0.5
     if stalled.any():
-        first = tuple(int(i) for i in words[np.argmax(stalled)])
+        first = tuple(int(i) for i in swept[np.argmax(stalled)])
         raise NotLoxodromic(
-            f"{int(stalled.sum())} of {big} words of length {length} have no "
+            f"{int(stalled.sum())} of {big} necklaces of length {length} have no "
             f"converged attracting frame (first: {first})"
         )
-    return words, lam, np.where(overlap < 0, -1, 1)
+    return words, lam[inverse], np.where(overlap < 0, -1, 1)[inverse]
 
 
 def _word_sweep(fam: SchottkyFamily, max_len: int, config: Config):
@@ -204,29 +228,32 @@ def _word_sweep(fam: SchottkyFamily, max_len: int, config: Config):
 
 
 def _unit_rays(lams: np.ndarray) -> np.ndarray:
-    """Normalized nonzero Jordan vectors."""
+    """Normalized Jordan vectors; a loxodromic word has lambda != 0, so a
+    vanishing one raises NotLoxodromic."""
     norms = np.linalg.norm(lams, axis=1)
-    keep = norms > 1e-12
-    return lams[keep] / norms[keep, np.newaxis]
+    vanishing = norms <= 1e-12
+    if vanishing.any():
+        raise NotLoxodromic(
+            f"{int(vanishing.sum())} of {len(lams)} words have a vanishing Jordan projection"
+        )
+    return lams / norms[:, np.newaxis]
 
 
-def _cone_estimate(rays: list, n: int, word_length: int) -> ConeEstimate:
-    """Cone estimate with the extreme rays of the cone hull of `rays`."""
+def _cone_estimate(rays: np.ndarray, n: int, word_length: int) -> ConeEstimate:
+    """Cone estimate with the extreme rays of the cone hull of the rows of
+    `rays`."""
     dim = n - 1
+    basis = _chamber_basis(n)
+    pts = rays @ basis
     if dim == 1:
-        hull = [rays[0]]
+        hull = rays[:1]
     elif dim == 2:
-        planar = [chamber_coords(ray) for ray in rays]
-        hull_planar = _planar_hull(planar)
-        basis = _chamber_basis(n)
-        hull = [basis @ h for h in hull_planar]
+        hull = _planar_hull(pts) @ basis.T
     else:
         from scipy.spatial import ConvexHull
 
-        pts = np.array([chamber_coords(ray) for ray in rays] + [np.zeros(dim)])
-        hv = ConvexHull(pts).vertices
-        basis = _chamber_basis(n)
-        hull = [basis @ pts[i] for i in hv if np.linalg.norm(pts[i]) > 1e-12]
+        vertices = ConvexHull(np.vstack([pts, np.zeros(dim)])).vertices
+        hull = pts[vertices[vertices < len(pts)]] @ basis.T
     return ConeEstimate(
         tuple(CartanVector(ray) for ray in rays),
         tuple(CartanVector(h / np.linalg.norm(h)) for h in hull),
@@ -236,10 +263,8 @@ def _cone_estimate(rays: list, n: int, word_length: int) -> ConeEstimate:
 
 def limit_cone(fam: SchottkyFamily, max_len: int, config: Config = DEFAULT_CONFIG) -> ConeEstimate:
     """Hull of the Jordan directions of all positive words up to max_len."""
-    rays = []
-    for _, lams, _ in _word_sweep(fam, max_len, config):
-        rays.extend(_unit_rays(lams))
-    return _cone_estimate(rays, fam.generators[0].g.n, max_len)
+    rays = [_unit_rays(lams) for _, lams, _ in _word_sweep(fam, max_len, config)]
+    return _cone_estimate(np.concatenate(rays), fam.generators[0].g.n, max_len)
 
 
 def cone_contains(cone: ConeEstimate, direction: np.ndarray) -> bool:
@@ -292,13 +317,15 @@ def sign_group(fam: SchottkyFamily, max_len: int, config: Config = DEFAULT_CONFI
     n = fam.generators[0].g.n
     basis, basis_bits, witnesses = [], [], []
     for words, _, signs in _word_sweep(fam, max_len, config):
-        for word, row in zip(words, signs):
-            m = SignVector(tuple(int(s) for s in row))
+        # a repeated row is already in the span: reduce first occurrences only
+        _, first = np.unique(signs, axis=0, return_index=True)
+        for i in np.sort(first):
+            m = SignVector(tuple(int(s) for s in signs[i]))
             residual = _reduce_bits(_sign_bits(m), basis_bits)
             if any(residual):
                 basis.append(m)
                 basis_bits.append(residual)
-                witnesses.append((tuple(int(i) for i in word), m))
+                witnesses.append((tuple(int(k) for k in words[i]), m))
         # eigenvalue signs multiply to det = +1, so p <= n - 1
         if len(basis) == n - 1:
             break
@@ -440,13 +467,15 @@ def jordan_line_density_probe(
     total = 0
     for words, lams, _ in _word_sweep(fam, max_len, config):
         if words.shape[1] <= cone_len:
-            rays.extend(_unit_rays(lams))
+            rays.append(_unit_rays(lams))
         total += len(lams)
         ts = lams @ t_dir
         devs = np.linalg.norm(lams - ts[:, np.newaxis] * t_dir, axis=1)
         mask = (devs < delta0) & (ts >= window[0]) & (ts <= window[1])
         hits.extend(float(t) for t in ts[mask])
-    interior = cone_interior(_cone_estimate(rays, fam.generators[0].g.n, cone_len), t_dir)
+    interior = cone_interior(
+        _cone_estimate(np.concatenate(rays), fam.generators[0].g.n, cone_len), t_dir
+    )
     hits.sort()
     gaps = np.diff(hits) if len(hits) > 1 else np.array([])
     out = {

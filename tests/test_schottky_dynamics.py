@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from chamberflow import schottky_dynamics
-from chamberflow.errors import BudgetExceeded, NotGeneric
+from chamberflow.errors import BudgetExceeded, NotGeneric, NotLoxodromic
 from chamberflow.linalg_core import (
     AMElement,
     CartanVector,
@@ -13,6 +13,8 @@ from chamberflow.linalg_core import (
     GroupElement,
     SignVector,
     jordan_projection,
+    project_to_sl,
+    random_rotation,
 )
 from chamberflow.schottky_dynamics import (
     build_schottky,
@@ -81,6 +83,58 @@ def test_stable_word_lambdas_against_mpmath(family, request):
             assert tuple(signs[row]) == exact_signs, word
 
 
+def test_necklace_words_against_mpmath():
+    # the benchmark's triple family: every word up to length 7 is checked
+    # against the exact eigenvalues of its necklace's least rotation
+    fam = build_schottky(
+        [
+            conjugated(1635, [20.0, 1.0, 1 / 20.0]),
+            conjugated(1636, [16.0, 2.0, 1 / 32.0]),
+            conjugated(1637, [18.0, 0.6, 1 / 10.8]),
+        ],
+        0.15,
+        0.12,
+    )
+    mats = [L.g.entries for L in fam.generators]
+    spans = [float(L.lam.coords[0] - L.lam.coords[-1]) for L in fam.generators]
+    for length in range(1, 8):
+        words, lams, signs = stable_word_lambdas(mats, length)
+        reps, inverse = schottky_dynamics._necklace_index(len(mats), length)
+        for k, row in enumerate(reps):
+            word = tuple(int(i) for i in words[row])
+            dps = 30 + math.ceil(sum(spans[i] for i in word) / math.log(10))
+            lam, exact_signs = _exact_word(mats, word, dps)
+            members = inverse == k
+            assert np.abs(lams[members] - lam).max() < 1e-8, word
+            assert np.all(signs[members] == exact_signs), word
+
+
+def test_stable_word_lambdas_sweeps_one_word_per_necklace(cone_family, monkeypatch):
+    batches = []
+    real = schottky_dynamics._batched_qr_positive
+
+    def counting(frames):
+        batches.append(len(frames))
+        return real(frames)
+
+    monkeypatch.setattr(schottky_dynamics, "_batched_qr_positive", counting)
+    mats = [L.g.entries for L in cone_family.generators]
+    words, lams, signs = stable_word_lambdas(mats, 11)
+    assert batches and set(batches) == {188}  # binary necklaces of length 11
+    assert np.array_equal(words, schottky_dynamics._word_array(2, 11))
+    place = 2 ** np.arange(10, -1, -1)
+    for shift in range(1, 11):
+        rows = np.roll(words, -shift, axis=1) @ place
+        assert np.array_equal(lams[rows], lams)
+        assert np.array_equal(signs[rows], signs)
+
+
+def test_unit_rays_refuse_a_vanishing_jordan_projection():
+    lams = np.array([[2.0, 0.0, -2.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(NotLoxodromic, match="1 of 2 words"):
+        schottky_dynamics._unit_rays(lams)
+
+
 def test_word_sweep_budget(cone_family):
     with pytest.raises(BudgetExceeded):
         limit_cone(cone_family, 10, Config(max_words=1000))
@@ -140,6 +194,27 @@ def test_limit_cone_single_generator(cone_family):
 
 def test_limit_cone_hull_contains_all_rays(cone_family):
     cone = limit_cone(cone_family, 4)
+    for ray in cone.rays:
+        assert cone_contains(cone, ray.coords)
+
+
+def test_limit_cone_in_sl4():
+    # n = 4: the hull is taken by ConvexHull in the 3-D chamber coordinates
+    def conjugated4(seed, logs):
+        h = random_rotation(np.random.default_rng(seed), 4)
+        return project_to_sl(h @ np.diag(np.exp(logs)) @ h.T).entries
+
+    fam = build_schottky(
+        [conjugated4(412, [9.0, 3.0, -3.0, -9.0]), conjugated4(413, [10.0, 2.0, -4.0, -8.0])],
+        0.12,
+        0.12,
+    )
+    cone = limit_cone(fam, 4)
+    rays = np.array([ray.coords for ray in cone.rays])
+    assert rays.shape == (2 + 4 + 8 + 16, 4)
+    assert len(cone.hull) >= 3
+    for h in cone.hull:
+        assert np.abs(rays - h.coords).max(axis=1).min() < 1e-12
     for ray in cone.rays:
         assert cone_contains(cone, ray.coords)
 
@@ -291,3 +366,5 @@ def test_chamber_coords_are_isometric():
     w = chamber_coords(v)
     assert w.shape == (2,)
     assert np.isclose(np.linalg.norm(w), np.linalg.norm(v))
+    # a stack of vectors maps row by row
+    assert np.allclose(chamber_coords(np.stack([v, -2 * v])), [w, -2 * w], rtol=0, atol=1e-15)
