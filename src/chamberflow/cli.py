@@ -43,6 +43,7 @@ from .torus_density import (
     TorusPoint,
     select_dense_subgroup_generators,
     semigroup_cone_density,
+    verify_certificate,
 )
 from .reportio import (
     cone_csv,
@@ -338,11 +339,13 @@ def cmd_density(args) -> int:
             report["subset_size"] = len(cert.subset)
         report["delta"] = cert.delta
         report["grid_step"] = cert.grid_step
+        report["replayed"] = verify_certificate(cert)
         if cert.uncovered_farthest is not None:
             center, distance = cert.uncovered_farthest
             report["uncovered_farthest"] = {"center": list(center), "distance": distance}
     _emit(report, args)
-    return EXIT_OK if report["covered"] else EXIT_FAILED
+    # a covering always comes with its certificate, so "replayed" is set when covered
+    return EXIT_OK if report["covered"] and report["replayed"] else EXIT_FAILED
 
 
 def cmd_verify(args) -> int:

@@ -9,8 +9,10 @@ Both enumerate the (semi)group with _generated_group, a level-synchronous,
 vectorised BFS: each level steps the whole frontier by every generator at
 once and keeps, per delta/4 grid cell, the first point in (frontier index,
 step index) order, which is the first-visit order of a node-by-node BFS.
-verify_certificate re-checks a certificate with plain loops and shares no
-code with the BFS or the KD-trees.
+verify_certificate replays a certificate in arrays, one V-slice of cell
+centres at a time, and checks that every recorded point is the combination
+of the subset its coefficients claim; it shares no code with the BFS or the
+KD-trees.
 """
 
 from __future__ import annotations
@@ -171,7 +173,7 @@ def _common_shape(points: list) -> tuple:
 
 def _point_tuples(points: np.ndarray, d: int) -> tuple:
     """Certificate form of [v | c] rows: one (v, c) pair of tuples per row."""
-    return tuple((tuple(p[:d]), tuple(p[d:])) for p in points)
+    return tuple((tuple(p[:d]), tuple(p[d:])) for p in points.tolist())
 
 
 def _greedy_v_basis(E: list, d: int) -> list:
@@ -247,23 +249,75 @@ def select_dense_subgroup_generators(
     return cert
 
 
-def verify_certificate(cert: DensityCertificate) -> bool:
-    """Independent single-pass re-verification of a covering certificate.
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), u the unit roundoff of float64."""
+    nu = n * np.finfo(float).eps / 2
+    return nu / (1.0 - nu)
 
-    Replays the certified cell centers against the recorded points with
-    plain loops, no trees.
+
+def _provenance_holds(cert: DensityCertificate, pv: np.ndarray, pc: np.ndarray) -> bool:
+    """Does every recorded point equal coeffs @ subset, within a derived bound,
+    with every |coefficient| <= coeff_bound?
+
+    The enumeration reaches a point by adding one generator per BFS level,
+    reducing the torus part mod 1 at each, and every partial sum on the way
+    is itself a recorded point; there are fewer levels than points.  So with
+    n points, recursive summation (Higham, Accuracy and Stability, ch. 3)
+    errs by at most gamma_n times the largest partial-sum magnitude: the
+    largest |recorded V-part| per coordinate, and on the torus the largest
+    pre-reduction sum |c + s| plus 1 for the rounding of the reduction.
+    Re-forming coeffs @ subset here and subtracting is an inner product of
+    length len(subset) + 1, which adds gamma_{len(subset)+1} times the
+    absolute inner product.  The torus residual is a wrap-around distance.
     """
-    k = cert.subset[0].k
-    d = cert.subset[0].d
-    pv = np.asarray([v for v, _ in cert.points], dtype=float)
-    pc = np.asarray([c for _, c in cert.points], dtype=float).reshape(len(cert.points), k)
-    for center in np.asarray(cert.centers, dtype=float):
-        dv2 = ((pv - center[:d]) ** 2).sum(axis=1)
-        wrap = np.abs(pc - center[d:]) % 1.0
-        dc2 = (np.minimum(wrap, 1.0 - wrap) ** 2).sum(axis=1)
-        if float(np.sqrt(dv2 + dc2).min()) > cert.delta:
-            return not cert.covered
-    return cert.covered
+    n, d = pv.shape
+    if n == 0:
+        return True
+    sv = np.asarray([p.v for p in cert.subset]).reshape(-1, d)
+    sc = np.asarray([p.c for p in cert.subset]).reshape(len(sv), -1)
+    coeffs = np.asarray(cert.coeffs, dtype=float).reshape(n, len(sv))
+    if np.abs(coeffs).max(initial=0.0) > cert.coeff_bound:
+        return False
+    walk, replay = _gamma(n), _gamma(len(sv) + 1)
+    v_bound = walk * np.abs(pv).max(axis=0) + replay * (np.abs(pv) + np.abs(coeffs) @ np.abs(sv))
+    if (np.abs(pv - coeffs @ sv) > v_bound).any():
+        return False
+    c_sum = np.abs(pc).max(initial=0.0) + np.abs(sc).max(initial=0.0)
+    c_bound = walk * (c_sum + 1.0) + replay * (np.abs(pc) + np.abs(coeffs) @ np.abs(sc))
+    wrap = np.abs(pc - coeffs @ sc) % 1.0
+    return not (np.minimum(wrap, 1.0 - wrap) > c_bound).any()
+
+
+def verify_certificate(cert: DensityCertificate) -> bool:
+    """Independent replay of a covering certificate, with no trees.
+
+    True iff every certified cell centre lies within delta of a recorded
+    point and every recorded point is the combination of the subset that
+    its coefficients claim (see _provenance_holds).  A refused certificate
+    whose centres are not all covered replays to False.
+
+    The centres are replayed one V-part at a time: the grid's torus axes
+    share each V-part, and a point farther than delta in V alone is no
+    witness, so each slice compares its centres with only the points within
+    delta of it in V.
+    """
+    d, k = cert.subset[0].d, cert.subset[0].k
+    n = len(cert.points)
+    pv = np.asarray([v for v, _ in cert.points], dtype=float).reshape(n, d)
+    pc = np.asarray([c for _, c in cert.points], dtype=float).reshape(n, k)
+    if not _provenance_holds(cert, pv, pc):
+        return False
+    centers = np.asarray(cert.centers, dtype=float).reshape(len(cert.centers), d + k)
+    parts, slice_of = np.unique(centers[:, :d], axis=0, return_inverse=True)
+    slice_of = slice_of.reshape(-1)   # numpy 2.0.0 shapes it (n, 1)
+    for i, u in enumerate(parts):
+        dv2 = ((pv - u) ** 2).sum(axis=1)
+        near = np.sqrt(dv2) <= cert.delta
+        wrap = np.abs(pc[near] - centers[slice_of == i, None, d:]) % 1.0
+        dc2 = (np.minimum(wrap, 1.0 - wrap) ** 2).sum(axis=2)
+        if float(np.sqrt(dv2[near] + dc2).min(axis=1, initial=np.inf).max()) > cert.delta:
+            return False
+    return True
 
 
 CONE_MEMBERSHIP_TOL = 1e-9   # absolute nnls residual floor of _cone_membership
@@ -340,7 +394,10 @@ def semigroup_cone_density(
             F, semi_window, k, delta, COEFF_BOUND, positive_only=True
         )
         centers = _grid_centers(abs_window, k, step)
-        keep = centers[[_cone_membership(vf_dirs, c[:d] - v_f) for c in centers]]
+        # membership reads only the V-part, which the torus axes share
+        parts, part_of = np.unique(centers[:, :d], axis=0, return_inverse=True)
+        inside = np.array([_cone_membership(vf_dirs, u - v_f) for u in parts], dtype=bool)
+        keep = centers[inside[part_of.reshape(-1)]]
         if not len(keep):
             raise NotDenseAtBudget("window does not meet the translated cone")
         tree2, _ = _build_tree(semi_pts, k)

@@ -70,12 +70,14 @@ def test_density_subcommands(workdir):
     )
     assert code == 0
     assert json.loads(out.read_text())["covered"] is True
+    assert json.loads(out.read_text())["replayed"] is True
     code = _run(
         ["density", "cone", "--input", str(workdir / "pts.json"), "--delta", "0.05", "--window", "0,2"],
         out,
     )
     assert code == 0
     assert json.loads(out.read_text())["covered"] is True
+    assert json.loads(out.read_text())["replayed"] is True
 
 
 @pytest.mark.parametrize("variant", ["select", "cone"])
@@ -97,6 +99,7 @@ def test_density_failure_reports_farthest_cell(workdir):
     assert _run(["density", "select", "--input", str(path), "--delta", "0.05"], out) == 1
     report = json.loads(out.read_text())
     assert report["covered"] is False
+    assert report["replayed"] is False
     assert report["uncovered_farthest"]["distance"] > 0.05
     assert len(report["uncovered_farthest"]["center"]) == 1
     # the integer lattice is not dense: the cone variant fails before it has a certificate
@@ -104,6 +107,7 @@ def test_density_failure_reports_farthest_cell(workdir):
     report = json.loads(out.read_text())
     assert report["covered"] is False
     assert "uncovered_farthest" not in report
+    assert "replayed" not in report
 
 
 def test_schottky_build_and_cone_csv(workdir):

@@ -1,13 +1,16 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 
+from chamberflow import torus_density
 from chamberflow.errors import NotDenseAtBudget
 from chamberflow.schottky_dynamics import build_schottky
 from chamberflow.torus_density import (
     DensityCertificate,
     TorusPoint,
+    _cone_membership,
     _generated_group,
     jordan_density_bridge,
     select_dense_subgroup_generators,
@@ -222,3 +225,107 @@ def test_density_inputs_must_share_one_shape(call):
         call([], 0.1, [(-1.0, 1.0)])
     with pytest.raises(ValueError, match="mixed"):
         call([TorusPoint([1.0], []), TorusPoint([np.sqrt(2)], [GOLDEN])], 0.1, [(-1.0, 1.0)])
+
+
+def _all_pairs_replay(cert):
+    """Reference: every certified centre against every recorded point, one centre at a time."""
+    k, d = cert.subset[0].k, cert.subset[0].d
+    pv = np.asarray([v for v, _ in cert.points], dtype=float)
+    pc = np.asarray([c for _, c in cert.points], dtype=float).reshape(len(cert.points), k)
+    for center in np.asarray(cert.centers, dtype=float):
+        dv2 = ((pv - center[:d]) ** 2).sum(axis=1)
+        wrap = np.abs(pc - center[d:]) % 1.0
+        dc2 = (np.minimum(wrap, 1.0 - wrap) ** 2).sum(axis=1)
+        if float(np.sqrt(dv2 + dc2).min()) > cert.delta:
+            return False
+    return True
+
+
+CERTIFICATES = {
+    "line-k0": lambda: select_dense_subgroup_generators(LINE, 0.05, [(-1.0, 1.0)]),
+    "planar-d2-k1": lambda: semigroup_cone_density(PLANAR, 0.6, [(0.0, 2.0), (0.0, 2.0)])[1],
+    "pair-select": lambda: select_dense_subgroup_generators(CIRCLE, 0.1, [(-1.0, 1.0)]),
+    "pair-cone": lambda: semigroup_cone_density(CIRCLE, 0.1, [(0.0, 3.0)])[1],
+}
+
+
+@functools.cache
+def _certificate(name):
+    return CERTIFICATES[name]()
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.9, 0.5])
+@pytest.mark.parametrize("name", list(CERTIFICATES))
+def test_sliced_replay_matches_all_pairs(name, scale):
+    cert = _certificate(name)
+    assert cert.covered
+    shrunk = dataclasses.replace(cert, delta=scale * cert.delta)
+    assert verify_certificate(shrunk) is _all_pairs_replay(shrunk)
+    if scale == 1.0:
+        assert verify_certificate(shrunk) is True
+
+
+def test_shrunk_delta_reaches_the_uncovered_branch():
+    verdicts = {
+        verify_certificate(dataclasses.replace(_certificate(name), delta=0.5 * _certificate(name).delta))
+        for name in CERTIFICATES
+    }
+    assert verdicts == {True, False}
+
+
+def test_cone_membership_runs_once_per_v_part(monkeypatch):
+    calls, grids = [], []
+    grid_centers = torus_density._grid_centers
+
+    def counted_membership(vf_dirs, w):
+        calls.append(w)
+        return _cone_membership(vf_dirs, w)
+
+    def recorded_grid(window, k, step):
+        grids.append(grid_centers(window, k, step))
+        return grids[-1]
+
+    monkeypatch.setattr(torus_density, "_cone_membership", counted_membership)
+    monkeypatch.setattr(torus_density, "_grid_centers", recorded_grid)
+    v_f, cert = semigroup_cone_density(PLANAR, 0.6, [(0.0, 2.0), (0.0, 2.0)])
+    d = 2
+    assert len(calls) == sum(len(np.unique(g[:, :d], axis=0)) for g in grids)
+    assert len(calls) < sum(len(g) for g in grids)
+    # the centres kept are those of a per-centre membership test on the last grid
+    vf_dirs = np.array([f.v for f in PLANAR]).T
+    expected = [tuple(c) for c in grids[-1].tolist() if _cone_membership(vf_dirs, np.asarray(c[:d]) - v_f)]
+    assert cert.centers == tuple(expected)
+
+
+def test_refused_certificate_does_not_replay():
+    with pytest.raises(NotDenseAtBudget) as exc:
+        select_dense_subgroup_generators([TorusPoint([1.0], [])], 0.05, [(-1.0, 1.0)])
+    assert verify_certificate(exc.value.certificate) is False
+
+
+def _shift_point(cert, i, dv, dc):
+    v, c = cert.points[i]
+    moved = (tuple(x + dv for x in v), tuple((x + dc) % 1.0 for x in c))
+    return dataclasses.replace(cert, points=cert.points[:i] + (moved,) + cert.points[i + 1 :])
+
+
+def _change_coeff(cert, i):
+    coeff = (cert.coeffs[i][0] + 1,) + cert.coeffs[i][1:]
+    return dataclasses.replace(cert, coeffs=cert.coeffs[:i] + (coeff,) + cert.coeffs[i + 1 :])
+
+
+@pytest.mark.parametrize("name", ["pair-select", "planar-d2-k1"])
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda cert, i: _shift_point(cert, i, 1e-3, 0.0),
+        lambda cert, i: _shift_point(cert, i, 0.0, 1e-3),
+        _change_coeff,
+        lambda cert, i: dataclasses.replace(cert, coeff_bound=int(np.abs(cert.coeffs).max()) - 1),
+    ],
+    ids=["v-shift", "torus-shift", "coefficient", "coeff-bound"],
+)
+def test_replay_rejects_a_tampered_certificate(name, tamper):
+    cert = _certificate(name)
+    assert verify_certificate(cert) is True
+    assert verify_certificate(tamper(cert, len(cert.points) // 2)) is False
