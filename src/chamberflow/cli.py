@@ -337,6 +337,7 @@ def cmd_density(args) -> int:
     if cert is not None:
         if args.variant == "select":
             report["subset_size"] = len(cert.subset)
+        report["kind"] = cert.kind
         report["delta"] = cert.delta
         report["grid_step"] = cert.grid_step
         report["replayed"] = verify_certificate(cert)

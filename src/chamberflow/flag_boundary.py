@@ -183,6 +183,20 @@ def _rotation(direction: np.ndarray, t: float) -> np.ndarray:
     return scipy.linalg.expm(t * direction)
 
 
+def _transverse_margin(xi: Flag, xi_check: Flag, config: Config) -> float | None:
+    """The closed form of boundary_margin_estimate, or None when the pair is
+    not transverse; one comparison matrix and one Bruhat factorisation."""
+    g = comparison_matrix(xi, xi_check)
+    try:
+        bruhat_lu(g, config)
+    except NotInBigCell:
+        return None
+    c = g.entries
+    # the closed form is increasing in s_k, so its minimum is at min_k s_k
+    s = min(np.linalg.svd(c[:k, :k], compute_uv=False)[-1] for k in range(1, xi.n))
+    return float(2.0 * s / np.sqrt(1.0 + np.sqrt(max(0.0, 1.0 - s * s))))
+
+
 def boundary_margin_estimate(
     xi: Flag, xi_check: Flag, config: Config = DEFAULT_CONFIG
 ) -> float:
@@ -213,17 +227,14 @@ def boundary_margin_estimate(
     2 sin(theta_k / 2), so the whole difference has norm at least
     sqrt(8) sin(theta_k / 2).
     """
-    if not is_transverse(xi, xi_check, config):
-        return 0.0
-    c = comparison_matrix(xi, xi_check).entries
-    # the closed form is increasing in s_k, so its minimum is at min_k s_k
-    s = min(np.linalg.svd(c[:k, :k], compute_uv=False)[-1] for k in range(1, xi.n))
-    return float(2.0 * s / np.sqrt(1.0 + np.sqrt(max(0.0, 1.0 - s * s))))
+    margin = _transverse_margin(xi, xi_check, config)
+    return 0.0 if margin is None else margin
 
 
 def cell_margin(xi: Flag, xi_check: Flag, config: Config = DEFAULT_CONFIG) -> float:
     """Distance from xi to the complement of b(xi_check), for a transverse
     pair (see boundary_margin_estimate)."""
-    if not is_transverse(xi, xi_check, config):
+    margin = _transverse_margin(xi, xi_check, config)
+    if margin is None:
         raise NotTransverse("cell_margin requires a transverse pair")
-    return boundary_margin_estimate(xi, xi_check, config)
+    return margin

@@ -250,10 +250,19 @@ def _cone_estimate(rays: np.ndarray, n: int, word_length: int) -> ConeEstimate:
     elif dim == 2:
         hull = _planar_hull(pts) @ basis.T
     else:
+        from scipy.linalg import null_space
         from scipy.spatial import ConvexHull
 
-        vertices = ConvexHull(np.vstack([pts, np.zeros(dim)])).vertices
-        hull = pts[vertices[vertices < len(pts)]] @ basis.T
+        # Hull the central projection onto <x, c> = 1, c the mean ray: the
+        # extreme rays are its vertices.  Rays of the closed chamber have
+        # pairwise nonnegative inner products (so do the type-A fundamental
+        # weights spanning it), so <ray, c> >= 1 / len(rays) > 0.  Facets
+        # within 1e-9 of each other are merged, so rays that agree to 1e-9
+        # (a word and its powers) give one vertex, as in _planar_hull.
+        c = pts.mean(axis=0)
+        flat = (pts / (pts @ c)[:, np.newaxis]) @ null_space(c[np.newaxis, :])
+        vertices = ConvexHull(flat, qhull_options="Qbb Qc C-1e-9").vertices
+        hull = pts[np.sort(vertices)] @ basis.T
     return ConeEstimate(
         tuple(CartanVector(ray) for ray in rays),
         tuple(CartanVector(h / np.linalg.norm(h)) for h in hull),

@@ -5,13 +5,17 @@ generated group delta-covers a window times the full torus;
 semigroup_cone_density constructs the translation v_F after which the
 positive semigroup is delta-dense in a translated cone.
 
-Both enumerate the (semi)group with _generated_group, a level-synchronous,
-vectorised BFS: each level steps the whole frontier by every generator at
-once and keeps, per delta/4 grid cell, the first point in (frontier index,
-step index) order, which is the first-visit order of a node-by-node BFS.
+Both enumerate the (semi)group with _generated_group, a level-synchronous
+BFS: each level steps the whole frontier by every generator at once and
+keeps, per delta/4 grid cell not yet in a set of exact integer cell keys,
+the first point in (frontier index, step index) order, which is the
+first-visit order of a node-by-node BFS.  A step moves one coefficient by
++-1, so the coefficient bound is tested only past level coeff_bound.
 verify_certificate replays a certificate in arrays, one V-slice of cell
 centres at a time, and checks that every recorded point is the combination
-of the subset its coefficients claim; it shares no code with the BFS or the
+of the subset its coefficients claim, within the limits of the
+certificate's kind (nonnegative coefficients for a semigroup, at most
+3d + 2k generators for a group); it shares no code with the BFS or the
 KD-trees.
 """
 
@@ -60,6 +64,7 @@ class DensityCertificate:
     grid_step: float
     coeff_bound: int
     covered: bool
+    kind: str                                 # "group" (select) or "semigroup" (cone)
     uncovered_farthest: tuple | None = None   # (cell center, distance) when not covered
     points: tuple = ()                        # generated points backing the certificate
     coeffs: tuple = ()                        # integer coefficient vectors of those points
@@ -101,61 +106,52 @@ def _coverage(points: np.ndarray, k: int, window: np.ndarray, delta: float, step
     return covered, (tuple(float(x) for x in centers[worst]), float(dists[worst]))
 
 
-def _cell_keys(points: np.ndarray, d: int, res: float) -> np.ndarray:
-    """One opaque key per [v | c] row: its integer cell on the res grid, the
-    torus cells taken mod the number of cells per unit."""
-    cells = max(1, int(round(1.0 / res)))
-    grid = np.round(points / res).astype(int)
-    grid[:, d:] %= cells
-    return grid.view(np.dtype((np.void, grid.itemsize * grid.shape[1]))).ravel()
-
-
 def _generated_group(
     gens: list, window: np.ndarray, k: int, delta: float, coeff_bound: int, positive_only=False
 ):
-    """Level-synchronous, vectorised BFS enumeration of the (semi)group
-    generated by gens, restricted to a window inflated by one generator step;
-    deduplicated on a delta/4 grid.
+    """Level-synchronous BFS enumeration of the (semi)group generated by gens,
+    restricted to a window inflated by one generator step; deduplicated by a
+    set of exact integer delta/4-grid cells, torus cells mod cells per unit.
 
     Each level steps the whole frontier by every generator (each followed by
-    its inverse unless positive_only) at once, drops the steps that leave the
-    window or exceed coeff_bound, and keeps, per grid cell not seen before,
-    the first point in (frontier index, step index) order. That is the visit
-    order of a node-by-node BFS, so the points come out in first-visit order.
+    its inverse unless positive_only) at once, then keeps, in (frontier index,
+    step index) order, each candidate in the window whose cell is unseen: the
+    first-visit order of a node-by-node BFS, at a cost per candidate.  A step
+    moves one coefficient by +-1, so |coeff|_inf <= level, and coeff_bound
+    cuts nothing before level coeff_bound + 1.
 
     Returns (points, coeffs): an (n, d + k) array of [v | c] rows with the
     torus part reduced mod 1, and the (n, len(gens)) integer coefficients.
     """
     d, g = window.shape[0], len(gens)
-    gen_steps = np.array([np.concatenate([p.v, p.c]) for p in gens]).reshape(g, d + k)
-    units = np.eye(g, dtype=int)
-    if positive_only:
-        steps, step_coeffs = gen_steps, units
-    else:
-        steps = np.stack([gen_steps, -gen_steps], axis=1).reshape(2 * g, d + k)
-        step_coeffs = np.stack([units, -units], axis=1).reshape(2 * g, g)
+    steps = np.array([np.concatenate([p.v, p.c]) for p in gens]).reshape(g, d + k)
+    step_coeffs = np.eye(g, dtype=int)
+    if not positive_only:
+        steps = np.stack([steps, -steps], axis=1).reshape(2 * g, d + k)
+        step_coeffs = np.stack([step_coeffs, -step_coeffs], axis=1).reshape(2 * g, g)
     reach = max((np.linalg.norm(p.v) for p in gens), default=0.0) + delta
-    lo = window[:, 0] - reach
-    hi = window[:, 1] + reach
+    lo, hi = window[:, 0] - reach, window[:, 1] + reach
     res = delta / 4.0
+    cells = max(1, int(round(1.0 / res)))
     frontier, coeffs = np.zeros((1, d + k)), np.zeros((1, g), dtype=int)
-    seen = _cell_keys(frontier, d, res)  # kept sorted
+    seen = {(0,) * (d + k)}
     levels = [(frontier, coeffs)]
     while len(frontier) and g:
-        m = len(frontier) * len(steps)
-        pts = (frontier[:, None, :] + steps).reshape(m, d + k)
+        pts = (frontier[:, None, :] + steps).reshape(len(frontier) * len(steps), d + k)
         pts[:, d:] %= 1.0
-        pcoeffs = (coeffs[:, None, :] + step_coeffs).reshape(m, g)
-        keep = ~((pts[:, :d] < lo) | (pts[:, :d] > hi)).any(axis=1)
-        keep &= np.abs(pcoeffs).max(axis=1) <= coeff_bound
-        pts, pcoeffs = pts[keep], pcoeffs[keep]
-        # the first point of each cell in this level, then only cells not seen
-        cells, first = np.unique(_cell_keys(pts, d, res), return_index=True)
-        at = np.searchsorted(seen, cells)
-        new = seen[np.minimum(at, len(seen) - 1)] != cells
-        seen = np.insert(seen, at[new], cells[new])
-        order = np.sort(first[new])
-        frontier, coeffs = pts[order], pcoeffs[order]
+        inside = ~((pts[:, :d] < lo) | (pts[:, :d] > hi)).any(axis=1)
+        if len(levels) > coeff_bound:   # these candidates have |coeff|_inf <= len(levels)
+            inside &= (np.abs(coeffs[:, None, :] + step_coeffs).max(axis=2) <= coeff_bound).ravel()
+        grid = np.rint(pts / res).astype(int)
+        grid[:, d:] %= cells
+        order = []
+        for i, (ok, cell) in enumerate(zip(inside.tolist(), grid.tolist())):
+            if ok and (cell := tuple(cell)) not in seen:
+                seen.add(cell)
+                order.append(i)
+        order = np.array(order, dtype=int)
+        row, step = np.divmod(order, len(steps))
+        frontier, coeffs = pts[order], coeffs[row] + step_coeffs[step]
         levels.append((frontier, coeffs))
     points, coeffs = zip(*levels)
     return np.concatenate(points), np.concatenate(coeffs)
@@ -237,6 +233,7 @@ def select_dense_subgroup_generators(
         grid_step=step,
         coeff_bound=COEFF_BOUND,
         covered=ok,
+        kind="group",
         uncovered_farthest=None if ok else far,
         points=_point_tuples(pts, d),
         coeffs=tuple(map(tuple, coeffs.tolist())),
@@ -257,7 +254,8 @@ def _gamma(n: int) -> float:
 
 def _provenance_holds(cert: DensityCertificate, pv: np.ndarray, pc: np.ndarray) -> bool:
     """Does every recorded point equal coeffs @ subset, within a derived bound,
-    with every |coefficient| <= coeff_bound?
+    with every |coefficient| <= coeff_bound, every coefficient >= 0 in a
+    semigroup certificate and at most 3d + 2k generators in a group one?
 
     The enumeration reaches a point by adding one generator per BFS level,
     reducing the torus part mod 1 at each, and every partial sum on the way
@@ -271,12 +269,19 @@ def _provenance_holds(cert: DensityCertificate, pv: np.ndarray, pc: np.ndarray) 
     absolute inner product.  The torus residual is a wrap-around distance.
     """
     n, d = pv.shape
+    if cert.kind == "group":
+        if len(cert.subset) > 3 * d + 2 * pc.shape[1]:
+            return False
+    elif cert.kind != "semigroup":
+        return False
     if n == 0:
         return True
     sv = np.asarray([p.v for p in cert.subset]).reshape(-1, d)
     sc = np.asarray([p.c for p in cert.subset]).reshape(len(sv), -1)
     coeffs = np.asarray(cert.coeffs, dtype=float).reshape(n, len(sv))
     if np.abs(coeffs).max(initial=0.0) > cert.coeff_bound:
+        return False
+    if cert.kind == "semigroup" and coeffs.min(initial=0.0) < 0:
         return False
     walk, replay = _gamma(n), _gamma(len(sv) + 1)
     v_bound = walk * np.abs(pv).max(axis=0) + replay * (np.abs(pv) + np.abs(coeffs) @ np.abs(sv))
@@ -293,8 +298,9 @@ def verify_certificate(cert: DensityCertificate) -> bool:
 
     True iff every certified cell centre lies within delta of a recorded
     point and every recorded point is the combination of the subset that
-    its coefficients claim (see _provenance_holds).  A refused certificate
-    whose centres are not all covered replays to False.
+    its coefficients claim, within what the certificate's kind allows (see
+    _provenance_holds).  A refused certificate whose centres are not all
+    covered replays to False.
 
     The centres are replayed one V-part at a time: the grid's torus axes
     share each V-part, and a point farther than delta in V alone is no
@@ -413,6 +419,7 @@ def semigroup_cone_density(
         grid_step=step,
         coeff_bound=COEFF_BOUND,
         covered=covered,
+        kind="semigroup",
         uncovered_farthest=None if covered else (tuple(keep[worst].tolist()), float(dists[worst])),
         points=_point_tuples(semi_pts, d),
         coeffs=tuple(map(tuple, semi_coeffs.tolist())),

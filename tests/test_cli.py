@@ -71,6 +71,7 @@ def test_density_subcommands(workdir):
     assert code == 0
     assert json.loads(out.read_text())["covered"] is True
     assert json.loads(out.read_text())["replayed"] is True
+    assert json.loads(out.read_text())["kind"] == "group"
     code = _run(
         ["density", "cone", "--input", str(workdir / "pts.json"), "--delta", "0.05", "--window", "0,2"],
         out,
@@ -78,6 +79,7 @@ def test_density_subcommands(workdir):
     assert code == 0
     assert json.loads(out.read_text())["covered"] is True
     assert json.loads(out.read_text())["replayed"] is True
+    assert json.loads(out.read_text())["kind"] == "semigroup"
 
 
 @pytest.mark.parametrize("variant", ["select", "cone"])
@@ -100,6 +102,7 @@ def test_density_failure_reports_farthest_cell(workdir):
     report = json.loads(out.read_text())
     assert report["covered"] is False
     assert report["replayed"] is False
+    assert report["kind"] == "group"
     assert report["uncovered_farthest"]["distance"] > 0.05
     assert len(report["uncovered_farthest"]["center"]) == 1
     # the integer lattice is not dense: the cone variant fails before it has a certificate
@@ -107,7 +110,7 @@ def test_density_failure_reports_farthest_cell(workdir):
     report = json.loads(out.read_text())
     assert report["covered"] is False
     assert "uncovered_farthest" not in report
-    assert "replayed" not in report
+    assert "replayed" not in report and "kind" not in report
 
 
 def test_schottky_build_and_cone_csv(workdir):

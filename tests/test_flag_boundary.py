@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
+from chamberflow import flag_boundary
 from chamberflow.errors import NotTransverse
 from chamberflow.flag_boundary import (
     Flag,
@@ -10,6 +11,7 @@ from chamberflow.flag_boundary import (
     boundary_margin_estimate,
     cell_margin,
     canonicalize_rep,
+    comparison_matrix,
     flag_distance,
     flag_of,
     flags_equal,
@@ -19,7 +21,7 @@ from chamberflow.flag_boundary import (
     opposite_flag,
     standard_flag,
 )
-from chamberflow.linalg_core import GroupElement, random_group_element, random_rotation
+from chamberflow.linalg_core import GroupElement, bruhat_lu, random_group_element, random_rotation
 
 
 def test_canonical_representative_has_unit_determinant():
@@ -174,3 +176,40 @@ def test_boundary_margin_estimate_zero_for_non_transverse():
 def test_minor_margin_positive_iff_transverse():
     assert minor_margin(standard_flag(3), opposite_flag(3)) > 1e-6
     assert minor_margin(standard_flag(3), standard_flag(3)) < 1e-12
+
+
+def _two_pass_margin(xi, xi_check):
+    """Reference: a transversality test, then the closed form on a second
+    comparison matrix."""
+    if not is_transverse(xi, xi_check):
+        return 0.0
+    c = comparison_matrix(xi, xi_check).entries
+    s = min(np.linalg.svd(c[:k, :k], compute_uv=False)[-1] for k in range(1, xi.n))
+    return float(2.0 * s / np.sqrt(1.0 + np.sqrt(max(0.0, 1.0 - s * s))))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_one_factorisation_per_margin_call(monkeypatch, n):
+    rng = np.random.default_rng(40 + n)
+    pairs = [(Flag(random_rotation(rng, n)), Flag(random_rotation(rng, n))) for _ in range(4)]
+    pairs.append((standard_flag(n), opposite_flag(n)))
+    expected = [_two_pass_margin(xi, xi_check) for xi, xi_check in pairs]
+    calls = []
+
+    def counted_lu(g, config):
+        calls.append(g)
+        return bruhat_lu(g, config)
+
+    monkeypatch.setattr(flag_boundary, "bruhat_lu", counted_lu)
+    for (xi, xi_check), margin in zip(pairs, expected):
+        del calls[:]
+        assert boundary_margin_estimate(xi, xi_check) == margin
+        assert len(calls) == 1
+        del calls[:]
+        assert cell_margin(xi, xi_check) == margin
+        assert len(calls) == 1
+    del calls[:]
+    assert boundary_margin_estimate(standard_flag(n), standard_flag(n)) == 0.0
+    with pytest.raises(NotTransverse):
+        cell_margin(standard_flag(n), standard_flag(n))
+    assert len(calls) == 2

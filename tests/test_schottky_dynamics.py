@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
 from chamberflow import schottky_dynamics
 from chamberflow.errors import BudgetExceeded, NotGeneric, NotLoxodromic
@@ -217,6 +218,10 @@ def test_limit_cone_in_sl4():
         assert np.abs(rays - h.coords).max(axis=1).min() < 1e-12
     for ray in cone.rays:
         assert cone_contains(cone, ray.coords)
+    # every hull ray is extreme: none is a nonnegative combination of the others
+    hull = np.array([h.coords for h in cone.hull])
+    for i, h in enumerate(hull):
+        assert nnls(np.delete(hull, i, axis=0).T, h)[1] > 1e-9
 
 
 def test_limit_cone_hulls_are_nested(cone_family):

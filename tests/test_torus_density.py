@@ -190,6 +190,16 @@ PLANAR = [
 ]
 LINE = [TorusPoint([1.0], []), TorusPoint([np.sqrt(2)], [])]
 CIRCLE = [TorusPoint([1.0], [0.0]), TorusPoint([np.sqrt(2)], [GOLDEN])]
+# the density benchmark's cubic-field pair at scale 1 and shear 1/2
+CUBIC = [
+    TorusPoint([1.0], [-0.27747906604368544]),
+    TorusPoint([0.44504186791262923], [2.1234898018587334]),
+]
+D2K2 = [
+    TorusPoint([1.0, 0.0], [0.3, GOLDEN]),
+    TorusPoint([0.0, 1.0], [np.sqrt(2.0) - 1.0, 0.1]),
+    TorusPoint([np.sqrt(3.0) - 1.0, np.sqrt(5.0) - 2.0], [0.0, 0.5]),
+]
 
 
 @pytest.mark.parametrize(
@@ -201,8 +211,14 @@ CIRCLE = [TorusPoint([1.0], [0.0]), TorusPoint([np.sqrt(2)], [GOLDEN])]
         (CIRCLE, [(-50.0, 50.0)], 0.1, 3),
         (CIRCLE, [(-0.2, 0.2)], 0.1, 1000),
         ([], [(-1.0, 1.0), (0.0, 1.0)], 0.1, 1000),
+        (CUBIC, [(-1.0, 1.0)], 0.1, 1000),
+        (CIRCLE, [(-40.0, 40.0)], 0.4, 1000),
+        (D2K2, [(0.0, 1.0), (0.0, 1.0)], 0.6, 1000),
     ],
-    ids=["line-k0", "d1-k1", "planar-d2-k1", "coeff-bound-3", "clipping-window", "no-generators"],
+    ids=[
+        "line-k0", "d1-k1", "planar-d2-k1", "coeff-bound-3", "clipping-window", "no-generators",
+        "benchmark-cubic-pair", "wide-v-corridor", "d2-k2",
+    ],
 )
 @pytest.mark.parametrize("positive_only", [False, True], ids=["group", "semigroup"])
 def test_generated_group_matches_node_by_node_bfs(gens, window, delta, coeff_bound, positive_only):
@@ -314,6 +330,23 @@ def _change_coeff(cert, i):
     return dataclasses.replace(cert, coeffs=cert.coeffs[:i] + (coeff,) + cert.coeffs[i + 1 :])
 
 
+def _negative_in_semigroup(cert, i):
+    """A semigroup certificate whose point i is written with one more copy of
+    subset[0], at coefficient -1: the combination still holds."""
+    coeffs = [c + (0,) for c in cert.coeffs]
+    coeffs[i] = (coeffs[i][0] + 1,) + coeffs[i][1:-1] + (-1,)
+    subset = cert.subset + cert.subset[:1]
+    return dataclasses.replace(cert, kind="semigroup", subset=subset, coeffs=tuple(coeffs))
+
+
+def _too_many_generators(cert, i):
+    """A group certificate padded to 3d + 2k + 1 generators at coefficient 0."""
+    p = cert.subset[0]
+    extra = 3 * p.d + 2 * p.k + 1 - len(cert.subset)
+    coeffs = tuple(c + (0,) * extra for c in cert.coeffs)
+    return dataclasses.replace(cert, kind="group", subset=cert.subset + (p,) * extra, coeffs=coeffs)
+
+
 @pytest.mark.parametrize("name", ["pair-select", "planar-d2-k1"])
 @pytest.mark.parametrize(
     "tamper",
@@ -322,8 +355,12 @@ def _change_coeff(cert, i):
         lambda cert, i: _shift_point(cert, i, 0.0, 1e-3),
         _change_coeff,
         lambda cert, i: dataclasses.replace(cert, coeff_bound=int(np.abs(cert.coeffs).max()) - 1),
+        _negative_in_semigroup,
+        _too_many_generators,
     ],
-    ids=["v-shift", "torus-shift", "coefficient", "coeff-bound"],
+    ids=[
+        "v-shift", "torus-shift", "coefficient", "coeff-bound", "negative-semigroup", "group-too-large",
+    ],
 )
 def test_replay_rejects_a_tampered_certificate(name, tamper):
     cert = _certificate(name)
