@@ -20,6 +20,7 @@ from .linalg_core import (
     DEFAULT_CONFIG,
     GroupElement,
     _freeze,
+    _lu_stack,
     bruhat_lu,
     iwasawa_kan,
     leading_minors,
@@ -38,18 +39,18 @@ def k_iota(n: int) -> np.ndarray:
 
 
 def canonicalize_rep(rep: np.ndarray) -> np.ndarray:
-    """Fix the M-gauge: largest-magnitude entry of each of the first n-1
-    columns positive (ties by lowest row index); the last column's sign is
-    then forced by det = +1."""
-    rep = np.asarray(rep, dtype=float).copy()
-    n = rep.shape[0]
-    for j in range(n - 1):
-        i = int(np.argmax(np.abs(rep[:, j])))
-        if rep[i, j] < 0:
-            rep[:, j] = -rep[:, j]
+    """Fix the M-gauge of one frame or of each frame of a stack:
+    largest-magnitude entry of each of the first n-1 columns positive (ties
+    by lowest row index); the last column's sign is then forced by det = +1."""
+    rep = np.array(rep, dtype=float)
+    n = rep.shape[-1]
+    frames = rep.reshape(-1, n, n)
+    head = frames[:, :, : n - 1]
+    rows = np.abs(head).argmax(axis=1)
+    lead = head[np.arange(len(frames))[:, np.newaxis], rows, np.arange(n - 1)]
+    head *= np.where(lead < 0, -1.0, 1.0)[:, np.newaxis, :]
     # the last column's sign is free for the flag; fix it so det = +1
-    if np.linalg.det(rep) < 0:
-        rep[:, n - 1] = -rep[:, n - 1]
+    frames[:, :, n - 1] *= np.where(np.linalg.det(frames) < 0, -1.0, 1.0)[:, np.newaxis]
     return rep
 
 
@@ -107,13 +108,20 @@ def _sign_array(n: int) -> np.ndarray:
     return cached
 
 
+def flag_distances(reps: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """flag_distance between flag representatives, broadcast over stacks of
+    (n, n) frames."""
+    n = reps.shape[-1]
+    diffs = reps[..., np.newaxis, :, :] - others[..., np.newaxis, :, :] * _sign_array(n)[:, np.newaxis, :]
+    return np.sqrt(np.min(np.einsum("...ij,...ij->...", diffs, diffs), axis=-1))
+
+
 def flag_distance(xi: Flag, eta: Flag) -> float:
     """Chordal K-invariant metric: min over the sign group M of the
     Frobenius distance between representatives."""
     if xi.n != eta.n:
         raise ValueError("flags must share the ambient dimension")
-    diffs = xi.rep[np.newaxis, :, :] - eta.rep[np.newaxis, :, :] * _sign_array(xi.n)[:, np.newaxis, :]
-    return float(np.sqrt(np.min(np.einsum("kij,kij->k", diffs, diffs))))
+    return float(flag_distances(xi.rep, eta.rep))
 
 
 def comparison_matrix(xi: Flag, xi_check: Flag) -> GroupElement:
@@ -183,18 +191,25 @@ def _rotation(direction: np.ndarray, t: float) -> np.ndarray:
     return scipy.linalg.expm(t * direction)
 
 
-def _transverse_margin(xi: Flag, xi_check: Flag, config: Config) -> float | None:
-    """The closed form of boundary_margin_estimate, or None when the pair is
-    not transverse; one comparison matrix and one Bruhat factorisation."""
-    g = comparison_matrix(xi, xi_check)
-    try:
-        bruhat_lu(g, config)
-    except NotInBigCell:
-        return None
-    c = g.entries
-    # the closed form is increasing in s_k, so its minimum is at min_k s_k
-    s = min(np.linalg.svd(c[:k, :k], compute_uv=False)[-1] for k in range(1, xi.n))
-    return float(2.0 * s / np.sqrt(1.0 + np.sqrt(max(0.0, 1.0 - s * s))))
+def boundary_margins(reps: np.ndarray, xi_check: Flag, config: Config = DEFAULT_CONFIG) -> np.ndarray:
+    """boundary_margin_estimate of each flag representative of an (N, n, n)
+    stack against one xi_check: one stack of comparison matrices, one
+    stacked Bruhat factorisation and one stacked SVD per leading block.
+    The margin is 0 exactly at the pairs that fail the pivot test; a pair
+    that passes it has every leading block invertible, so a positive margin.
+    """
+    n = xi_check.n
+    c = (k_iota(n) @ xi_check.rep.T) @ reps
+    _, _, first_fail = _lu_stack(c, config)
+    # the closed form is increasing in s_k, so its minimum is at min_k s_k;
+    # s_1 = |c_11| (LAPACK's singular value of a 1 x 1 block is that, bit for bit)
+    s = np.min(
+        [np.abs(c[:, 0, 0])]
+        + [np.linalg.svd(c[:, :k, :k], compute_uv=False)[:, -1] for k in range(2, n)],
+        axis=0,
+    )
+    margin = 2.0 * s / np.sqrt(1.0 + np.sqrt(np.maximum(0.0, 1.0 - s * s)))
+    return np.where(first_fail == n, margin, 0.0)
 
 
 def boundary_margin_estimate(
@@ -227,14 +242,13 @@ def boundary_margin_estimate(
     2 sin(theta_k / 2), so the whole difference has norm at least
     sqrt(8) sin(theta_k / 2).
     """
-    margin = _transverse_margin(xi, xi_check, config)
-    return 0.0 if margin is None else margin
+    return float(boundary_margins(xi.rep[np.newaxis], xi_check, config)[0])
 
 
 def cell_margin(xi: Flag, xi_check: Flag, config: Config = DEFAULT_CONFIG) -> float:
     """Distance from xi to the complement of b(xi_check), for a transverse
     pair (see boundary_margin_estimate)."""
-    margin = _transverse_margin(xi, xi_check, config)
-    if margin is None:
+    margin = float(boundary_margins(xi.rep[np.newaxis], xi_check, config)[0])
+    if margin == 0.0:
         raise NotTransverse("cell_margin requires a transverse pair")
     return margin

@@ -37,6 +37,12 @@ TOL_DET = 1e-9                   # relative determinant tolerance of GroupElemen
 MAX_SAMPLE_TRIES = 100           # Gaussian draws random_group_element may reject
 
 
+def _trace_free(coords: np.ndarray) -> np.ndarray:
+    """Project the last axis onto the trace-zero subspace (the normal form
+    of CartanVector coordinates)."""
+    return coords - coords.mean(axis=-1, keepdims=True)
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(np.asarray(arr, dtype=float))
     out.setflags(write=False)
@@ -91,9 +97,8 @@ class CartanVector:
     tag: str | None = None  # None | "chamber_plus" | "chamber_plus_plus"
 
     def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=float)
         # project out the numerical drift of the trace-zero constraint
-        coords = coords - coords.mean()
+        coords = _trace_free(np.asarray(self.coords, dtype=float))
         object.__setattr__(self, "coords", _freeze(coords))
         if abs(self.coords.sum()) > 1e-10:
             raise ValueError("CartanVector coordinates must sum to 0")
@@ -209,18 +214,25 @@ class IwasawaTriple:
         return self.k @ np.diag(np.exp(self.a.coords)) @ self.u
 
 
-def iwasawa_kan(g: GroupElement) -> IwasawaTriple:
-    """g = k exp(a) u with k in SO(n), u unit upper-triangular."""
-    q, r = np.linalg.qr(g.entries)
-    diag = np.diag(r)
+def _kan_stack(mats: np.ndarray):
+    """KAN of each matrix of an (N, n, n) stack: (k, log of the positive
+    diagonal of the triangular factor, u), arrays over the stack. The logs
+    are not yet projected to trace zero (CartanVector does that)."""
+    q, r = np.linalg.qr(mats)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
     if np.any(diag == 0) or not np.all(np.isfinite(r)):
         raise NonInvertible("QR factor has a zero diagonal entry")
     d = np.sign(diag)
-    k = q * d[np.newaxis, :]
-    r = r * d[:, np.newaxis]
-    a = CartanVector(np.log(np.diag(r)))
-    u = r / np.diag(r)[:, np.newaxis]
-    return IwasawaTriple(k, a, u)
+    k = q * d[..., np.newaxis, :]
+    r = r * d[..., :, np.newaxis]
+    rdiag = np.diagonal(r, axis1=-2, axis2=-1)
+    return k, np.log(rdiag), r / rdiag[..., :, np.newaxis]
+
+
+def iwasawa_kan(g: GroupElement) -> IwasawaTriple:
+    """g = k exp(a) u with k in SO(n), u unit upper-triangular."""
+    k, logs, u = _kan_stack(g.entries[np.newaxis])
+    return IwasawaTriple(k[0], CartanVector(logs[0]), u[0])
 
 
 def _flip(mat: np.ndarray) -> np.ndarray:
@@ -267,27 +279,46 @@ def jordan_projection(g: GroupElement) -> CartanVector:
     return CartanVector(coords, tag="chamber_plus")
 
 
+def _lu_stack(mats: np.ndarray, config: Config):
+    """Doolittle LU without pivoting of each matrix of an (N, n, n) stack.
+
+    Returns (lower, a, first_fail): the unit lower factors, the eliminated
+    matrices (upper triangle diag(m) exp(a) u_plus) and, per matrix, the
+    index of the first pivot at or below config.tol_minor relative to its
+    largest entry (n when none is). Past its first failing pivot a matrix
+    may fill with inf and nan, and its factors mean nothing.
+    """
+    a = np.array(mats, dtype=float)
+    n = a.shape[-1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(n - 1):
+            # the factors are stored in place of the entries they eliminate
+            a[:, k + 1:, k] /= a[:, k, k, np.newaxis]
+            a[:, k + 1:, k + 1:] -= a[:, k + 1:, k, np.newaxis] * a[:, np.newaxis, k, k + 1:]
+    threshold = config.tol_minor * np.abs(mats).max(axis=(-2, -1))
+    # a pivot is final once reached, and every pivot before the first
+    # failing one is a true (finite, nonzero) pivot
+    small = np.abs(np.diagonal(a, axis1=-2, axis2=-1)) <= threshold[:, np.newaxis]
+    first_fail = np.where(small.any(axis=1), small.argmax(axis=1), n)
+    lower = np.where(np.tri(n, k=-1, dtype=bool), a, np.eye(n))
+    return lower, a, first_fail
+
+
 def bruhat_lu(g: GroupElement, config: Config = DEFAULT_CONFIG):
     """g = u_minus diag(m) exp(a) u_plus (Doolittle LU without pivoting).
 
     Raises NotInBigCell when a leading principal minor is below
     config.tol_minor relative to the largest entry of g.
     """
-    n = g.n
-    a = g.entries.copy()
-    lower = np.eye(n)
-    scale = float(np.abs(g.entries).max())
-    for k in range(n):
-        piv = a[k, k]
-        if abs(piv) <= config.tol_minor * scale:
-            raise NotInBigCell(k, float(piv))
-        factors = a[k + 1:, k] / piv
-        lower[k + 1:, k] = factors
-        a[k + 1:, k:] -= np.outer(factors, a[k, k:])
+    lower, a, first_fail = _lu_stack(g.entries[np.newaxis], config)
+    k = int(first_fail[0])
+    if k < g.n:
+        raise NotInBigCell(k, float(a[0, k, k]))
+    lower, a = lower[0], np.triu(a[0])
     diag = np.diag(a).copy()
     signs = SignVector(tuple(int(s) for s in np.sign(diag)))
     x = AMElement(CartanVector(np.log(np.abs(diag))), signs)
-    u_plus = np.triu(a) / diag[:, np.newaxis]
+    u_plus = a / diag[:, np.newaxis]
     return lower, x, u_plus
 
 
@@ -307,10 +338,15 @@ def random_group_element(rng: np.random.Generator, n: int) -> GroupElement:
     raise BudgetExceeded(f"no draw with |det| > 1e-6 in {MAX_SAMPLE_TRIES} tries")
 
 
+def _random_rotations(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """count draws of random_rotation as one (count, n, n) stack; the
+    Gaussian block is drawn as count successive (n, n) draws would be."""
+    q, r = np.linalg.qr(rng.standard_normal((count, n, n)))
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, np.newaxis, :]
+    q[:, :, -1] *= np.where(np.linalg.det(q) < 0, -1.0, 1.0)[:, np.newaxis]
+    return q
+
+
 def random_rotation(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-ish random element of SO(n) (QR of a Gaussian, det-corrected)."""
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    q = q * np.sign(np.diag(r))[np.newaxis, :]
-    if np.linalg.det(q) < 0:
-        q[:, -1] = -q[:, -1]
-    return q
+    return _random_rotations(rng, n, 1)[0]

@@ -22,15 +22,21 @@ from .linalg_core import (
     Config,
     DEFAULT_CONFIG,
     GroupElement,
+    SignVector,
+    _kan_stack,
+    _random_rotations,
+    _trace_free,
     am_distance,
-    random_rotation,
 )
 from .flag_boundary import (
     Flag,
     act,
     boundary_margin_estimate,
+    boundary_margins,
+    canonicalize_rep,
     cell_margin,
     flag_distance,
+    flag_distances,
     flag_of,
     is_transverse,
     k_iota,
@@ -40,8 +46,7 @@ from .flag_boundary import (
 from .sections_cocycles import (
     Section,
     cocycle,
-    compact_section,
-    transition,
+    transitions,
     unipotent_section,
 )
 
@@ -143,6 +148,27 @@ def extended_jordan(s: Section, L: LoxodromicData, config: Config = DEFAULT_CONF
     return cocycle(s, s, L.g, L.attracting, config)
 
 
+def ratios(
+    s1: Section,
+    s2: Section,
+    xi_check: Flag,
+    reps1: np.ndarray,
+    reps2: np.ndarray,
+    config: Config = DEFAULT_CONFIG,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ratio at paired (N, n, n) stacks of flag representatives.
+
+    Returns (a, signs, inside): the (N, n) sums of the two transitions'
+    trace-free A parts (CartanVector projects them once more), the (N, n)
+    signs of the M part, and the mask of the pairs where both transitions
+    are defined.
+    """
+    pivot = unipotent_section(xi_check)
+    logs1, signs1, inside1 = transitions(s1, pivot, reps1, config)
+    logs2, signs2, inside2 = transitions(pivot, s2, reps2, config)
+    return _trace_free(logs1) + _trace_free(logs2), signs1 * signs2, inside1 & inside2
+
+
 def ratio(
     s1: Section,
     s2: Section,
@@ -152,8 +178,10 @@ def ratio(
     config: Config = DEFAULT_CONFIG,
 ) -> AMElement:
     """R_{s1,s2}(xi_check; xi1, xi2) = T_{s1,[xi_check]}(xi1) T_{[xi_check],s2}(xi2)."""
-    pivot = unipotent_section(xi_check)
-    return transition(s1, pivot, xi1, config) * transition(pivot, s2, xi2, config)
+    a, signs, inside = ratios(s1, s2, xi_check, xi1.rep[np.newaxis], xi2.rep[np.newaxis], config)
+    if not inside[0]:
+        raise OutOfDomain("a flag is outside a section domain, or a transition is not in AM")
+    return AMElement(CartanVector(a[0]), SignVector(tuple(int(v) for v in signs[0])))
 
 
 def ratio_at(
@@ -182,20 +210,6 @@ def cocycle_via_jordan(
     return left * middle * right
 
 
-def _random_flag(rng: np.random.Generator, n: int) -> Flag:
-    return Flag(random_rotation(rng, n))
-
-
-def _nearby_flag(rng: np.random.Generator, xi: Flag, eps: float) -> Flag:
-    """A flag at distance < eps from xi: a rotation by t <= eps along a unit
-    coordinate direction moves a flag by at most sqrt(8) sin(t / (2 sqrt 2)) < t."""
-    n = xi.n
-    dirs = _so_directions(n, 2 * (n * (n - 1) // 2))
-    direction = dirs[rng.integers(len(dirs))]
-    t = eps * rng.uniform(0.2, 1.0)
-    return Flag(_rotation(direction, t) @ xi.rep)
-
-
 def certify_r_eps(
     L: LoxodromicData,
     r: float,
@@ -216,29 +230,28 @@ def certify_r_eps(
     margin = cell_margin(L.attracting, L.repelling, config=config)
     if r > 0.5 * margin:
         raise CertificationFailure("i", f"r={r} > half margin {0.5 * margin:.4f}")
+    # a private stream, so the flags are drawn in blocks
     rng = np.random.default_rng(0)
     n = L.g.n
-    samples = []
-    tries = 0
-    while len(samples) < grid and tries < 50 * grid:
-        tries += 1
-        xi = _random_flag(rng, n)
-        if boundary_margin_estimate(xi, L.repelling, config=config) >= eps:
-            samples.append(xi)
+    blocks, count, tries = [], 0, 0
+    while count < grid and tries < 50 * grid:
+        size = min(2 * (grid - count), 50 * grid - tries)
+        reps = canonicalize_rep(_random_rotations(rng, n, size))
+        tries += size
+        blocks.append(reps[boundary_margins(reps, L.repelling, config) >= eps])
+        count += len(blocks[-1])
+    samples = np.concatenate(blocks)[:grid]
     if len(samples) < grid:
         raise CertificationFailure("ii", "could not populate the sample grid")
-    images = [act(L.g, xi) for xi in samples]
-    for xi, gxi in zip(samples, images):
-        d = flag_distance(gxi, L.attracting)
-        if d > eps:
-            raise CertificationFailure("ii", f"image at distance {d:.4f} > eps")
-    max_quotient = 0.0
-    for i in range(len(samples) - 1):
-        d0 = flag_distance(samples[i], samples[i + 1])
-        if d0 < 1e-9:
-            continue
-        q = flag_distance(images[i], images[i + 1]) / d0
-        max_quotient = max(max_quotient, q)
+    images = canonicalize_rep(_kan_stack(L.g.entries @ samples)[0])
+    dists = flag_distances(images, L.attracting.rep)
+    far = np.flatnonzero(dists > eps)
+    if far.size:
+        raise CertificationFailure("ii", f"image at distance {dists[far[0]]:.4f} > eps")
+    steps = flag_distances(samples[:-1], samples[1:])
+    apart = steps >= 1e-9
+    quotients = flag_distances(images[:-1][apart], images[1:][apart]) / steps[apart]
+    max_quotient = float(quotients.max(initial=0.0))
     if max_quotient > eps:
         raise CertificationFailure("iii", f"Lipschitz quotient {max_quotient:.4f} > eps")
     return REpsCertificate(r, eps, max_quotient, len(samples))
@@ -260,6 +273,9 @@ def _sample_k_r(rng: np.random.Generator, n: int, r: float) -> np.ndarray:
     return _rotation(direction, r * rng.uniform(0.0, 0.5))
 
 
+DRAW_BLOCK = 8   # draws delta_r_eps tests at once (at n = 3, r = 0.15, about half pass)
+
+
 def delta_r_eps(
     r: float,
     eps: float,
@@ -277,32 +293,55 @@ def delta_r_eps(
         raise ValueError("delta_r_eps requires 0 < eps <= r")
     rng = np.random.default_rng(seed)
     check = Flag(k_iota(n))
-    base_sec = compact_section(check)
-    identity = AMElement.identity(n)
+    pool = np.asarray([_sample_k_r(rng, n, r) for _ in range(min(16, max(4, mc_samples // 64)))])
+    dirs = _so_directions(n, 2 * (n * (n - 1) // 2))
     worst = 0.0
     accepted = 0
     tries = 0
-    pool = [_sample_k_r(rng, n, r) for _ in range(min(16, max(4, mc_samples // 64)))]
+    # pairs (xi1, xi2 before canonicalisation) drawn but not yet evaluated
+    queue1, queue2 = [], []
     while accepted < mc_samples:
-        if tries == 100 * mc_samples:
+        while accepted + len(queue1) < mc_samples and tries < 100 * mc_samples:
+            # test a block of coming draws at once, then rewind the stream and
+            # draw again up to the first that passes: the stream stays that of
+            # one (n, n) draw per try
+            state = rng.bit_generator.state
+            size = min(DRAW_BLOCK, 100 * mc_samples - tries)
+            reps = canonicalize_rep(_random_rotations(rng, n, size))
+            passed = np.flatnonzero(boundary_margins(reps, check, config) >= 3 * r)
+            if not passed.size:
+                tries += size
+                continue
+            first = int(passed[0])
+            tries += first + 1
+            rng.bit_generator.state = state
+            rng.standard_normal((first + 1, n, n))
+            # xi2 at distance < eps from xi1: a rotation by t <= eps along a unit
+            # coordinate direction moves a flag by sqrt(8) sin(t / (2 sqrt 2)) < t
+            direction = dirs[rng.integers(len(dirs))]
+            t = eps * rng.uniform(0.2, 1.0)
+            queue1.append(reps[first])
+            queue2.append(_rotation(direction, t) @ reps[first])
+        if not queue1:
             raise BudgetExceeded(
                 f"delta_r_eps accepted {accepted} of {tries} draws, short of {mc_samples}"
             )
-        tries += 1
-        xi1 = _random_flag(rng, n)
-        if boundary_margin_estimate(xi1, check, config=config) < 3 * r:
-            continue
-        h = pool[accepted % len(pool)]
-        s = Section(base_sec.kind, base_sec.base, base_sec.offset, h)
-        xi2 = _nearby_flag(rng, xi1, eps)
-        try:
-            value = ratio(s, s, check, xi1, xi2, config)
-        except OutOfDomain:
-            continue
-        d = am_distance(value, identity)
-        if np.isfinite(d):
-            worst = max(worst, d)
-        accepted += 1
+        # queued pair i takes pool[(accepted + i) % len(pool)], as it does
+        # when the pairs before it are accepted
+        h = pool[(accepted + np.arange(len(queue1))) % len(pool)]
+        s = Section("compact", check, AMElement.identity(n), h)
+        a, signs, inside = ratios(
+            s, s, check, np.asarray(queue1), canonicalize_rep(np.asarray(queue2)), config
+        )
+        # the pairs before the first one out of domain are accepted; that one
+        # is dropped, and the rest are evaluated again with the pool shifted
+        good = len(inside) if inside.all() else int(np.argmin(inside))
+        # d_AM(R, e) is infinite off the identity component, and skipped
+        a = _trace_free(a[:good][(signs[:good] > 0).all(axis=1)])
+        if len(a):
+            worst = max(worst, float(np.max(np.sqrt(np.vecdot(a, a)))))
+        accepted += good
+        del queue1[: good + 1], queue2[: good + 1]
     return worst
 
 
@@ -325,13 +364,12 @@ def product_estimate(
     l = len(family)
     if len(powers) != l or len(sections) != l + 1:
         raise ValueError("need l powers and l+1 sections")
-    # hypothesis *: genericity plus the 6r margin, with g_0 = g_l
+    # hypothesis *: genericity plus the 6r margin, with g_0 = g_l; a
+    # non-transverse pair has margin 0, so it fails the margin test too
     for i in range(1, l + 1):
         gi = family[i - 1]
         prev = family[i - 2] if i >= 2 else family[l - 1]
         for point, label in ((prev.attracting, f"g{i - 1}+"), (gi.attracting, f"g{i}+")):
-            if not is_transverse(point, gi.repelling, config):
-                raise HypothesisViolated("*", f"{label} not transverse to g{i}-")
             m = boundary_margin_estimate(point, gi.repelling, config=config)
             if r > m / 6.0:
                 raise HypothesisViolated("*", f"r={r} > margin/6 = {m / 6.0:.4f} for {label}")
@@ -346,10 +384,13 @@ def product_estimate(
         if not is_transverse(point, s.base, config):
             raise HypothesisViolated("**", "a required flag is outside its section domain")
 
-    mat = np.eye(family[0].g.n)
-    for gi, ni in zip(family, powers):
-        mat = np.linalg.matrix_power(gi.g.entries, ni) @ mat
-    det = np.linalg.det(mat)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mat = np.eye(family[0].g.n)
+        for gi, ni in zip(family, powers):
+            mat = np.linalg.matrix_power(gi.g.entries, ni) @ mat
+        det = np.linalg.det(mat)
+    if not (np.all(np.isfinite(mat)) and np.isfinite(det) and det > 0):
+        raise HypothesisViolated("range", f"the product leaves double range (det {det:.3e})")
     prod = GroupElement(mat / det ** (1.0 / mat.shape[0]))
     prod_data = classify(prod, config)
     d_plus = flag_distance(prod_data.attracting, family[-1].attracting)

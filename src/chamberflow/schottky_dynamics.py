@@ -27,8 +27,8 @@ from .linalg_core import (
     project_to_sl,
 )
 from .flag_boundary import act, boundary_margin_estimate, flag_distance, is_transverse
-from .loxodromy import certify_r_eps, classify, compact_section, power, ratio
-from .sections_cocycles import BHCoordinates, best_section, cocycle, covering_family
+from .loxodromy import certify_r_eps, classify, power, ratio
+from .sections_cocycles import BHCoordinates, best_section, cocycle, compact_section, covering_family
 
 CERT_GRID = 120        # sample grid of each generator's (r, eps) certificate
 CONE_MARGIN = 1e-6     # smallest hull coefficient cone_interior calls interior

@@ -23,6 +23,8 @@ from .linalg_core import (
     DEFAULT_CONFIG,
     GroupElement,
     SignVector,
+    _kan_stack,
+    _lu_stack,
     bruhat_lu,
     iwasawa_kan,
     leading_minors,
@@ -36,7 +38,8 @@ class Section:
 
     kind: "unipotent" or "compact"; base: the flag whose opposite Bruhat
     cell is the domain; offset: right AM translation; translate: optional
-    left translation by an element of K (h.s with (h.s)(xi) = h s(h^-1 xi)).
+    left translation by an element of K (h.s with (h.s)(xi) = h s(h^-1 xi)),
+    or an (N, n, n) stack of them, one per flag of a stacked evaluation.
     """
 
     kind: str
@@ -73,28 +76,36 @@ def _base_frame(base: Flag) -> np.ndarray:
     return base.rep @ k_iota(base.n).T
 
 
-def _unipotent_at_e(rep: np.ndarray, config: Config) -> np.ndarray:
-    """[e](zeta): the unique u in N- with u . (standard flag) = zeta."""
-    try:
-        lower, _, _ = bruhat_lu(GroupElement(rep), config)
-    except NotInBigCell as exc:
-        raise OutOfDomain("flag is not transverse to the section base") from exc
-    return lower
+def eval_sections(
+    s: Section, reps: np.ndarray, config: Config = DEFAULT_CONFIG
+) -> tuple[np.ndarray, np.ndarray]:
+    """eval_section at each flag representative of an (N, n, n) stack.
+
+    Returns the (N, n, n) values and the mask of the flags in the section's
+    domain; the value at a flag outside it is a placeholder.
+    """
+    n = s.n
+    if s.translate is not None:
+        reps = np.swapaxes(s.translate, -1, -2) @ reps
+    h = _base_frame(s.base)
+    # [e](zeta): the unique u in N- with u . (standard flag) = zeta
+    lower, _, first_fail = _lu_stack(h.T @ reps, config)
+    inside = first_fail == n
+    value = h @ np.where(inside[:, np.newaxis, np.newaxis], lower, np.eye(n))
+    if s.kind == "compact":
+        value = _kan_stack(value)[0]
+    value = value @ s.offset.matrix()
+    if s.translate is not None:
+        value = s.translate @ value
+    return value, inside
 
 
 def eval_section(s: Section, xi: Flag, config: Config = DEFAULT_CONFIG) -> GroupElement:
     """Evaluate the section at xi; the result projects to xi under flag_of."""
-    rep = xi.rep
-    if s.translate is not None:
-        rep = s.translate.T @ rep
-    h = _base_frame(s.base)
-    value = h @ _unipotent_at_e(h.T @ rep, config)
-    if s.kind == "compact":
-        value = iwasawa_kan(GroupElement(value)).k
-    value = value @ s.offset.matrix()
-    if s.translate is not None:
-        value = s.translate @ value
-    return GroupElement(value)
+    value, inside = eval_sections(s, xi.rep[np.newaxis], config)
+    if not inside[0]:
+        raise OutOfDomain("flag is not transverse to the section base")
+    return GroupElement(value[0])
 
 
 AM_PART_TOL = 1e-8   # largest strict lower part, relative, of an (AM)N matrix
@@ -110,22 +121,42 @@ def _upper_am_part(mat: np.ndarray, context: str) -> AMElement:
             f"{context}: strict lower part {strict_lower:.3e} does not vanish"
         )
     diag = np.diag(mat)
+    signs = np.sign(diag)
+    if np.any(diag == 0) or np.prod(signs) < 0:
+        raise OutOfDomain(f"{context}: diagonal has a zero entry or sign product -1")
     return AMElement(
         CartanVector(np.log(np.abs(diag))),
-        SignVector(tuple(int(v) for v in np.sign(diag))),
+        SignVector(tuple(int(v) for v in signs)),
     )
+
+
+def transitions(
+    s: Section, s2: Section, reps: np.ndarray, config: Config = DEFAULT_CONFIG
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """transition at each flag representative of an (N, n, n) stack.
+
+    Returns (logs, signs, inside): the (N, n) logs of the A part, not yet
+    projected to trace zero (CartanVector does that), the (N, n) signs of
+    the M part, and the mask of the flags where T is defined: inside both
+    section domains, with an AM-valued comparison.
+    """
+    n = s.n
+    v, inside = eval_sections(s, reps, config)
+    v2, inside2 = eval_sections(s2, reps, config)
+    k, logs, _ = _kan_stack(np.linalg.solve(v, v2))
+    # k-part must be a diagonal sign matrix for T to land in AM
+    off = (k * (1.0 - np.eye(n))).reshape(len(k), -1)
+    k_off = np.sqrt(np.vecdot(off, off))
+    signs = np.sign(np.diagonal(k, axis1=-2, axis2=-1))
+    return logs, signs, inside & inside2 & (k_off <= 1e-7)
 
 
 def transition(s: Section, s2: Section, xi: Flag, config: Config = DEFAULT_CONFIG) -> AMElement:
     """T_{s,s2}(xi): the unique AM element with s2(xi) in s(xi) N T."""
-    d = np.linalg.solve(eval_section(s, xi, config).entries, eval_section(s2, xi, config).entries)
-    triple = iwasawa_kan(GroupElement(d))
-    # k-part must be a diagonal sign matrix for T to land in AM
-    k_off = np.linalg.norm(triple.k - np.diag(np.diag(triple.k)))
-    if k_off > 1e-7:
-        raise OutOfDomain(f"transition has non-AM part (off-diagonal {k_off:.3e})")
-    signs = SignVector(tuple(int(v) for v in np.sign(np.diag(triple.k))))
-    return AMElement(triple.a, signs)
+    logs, signs, inside = transitions(s, s2, xi.rep[np.newaxis], config)
+    if not inside[0]:
+        raise OutOfDomain("xi is outside a section domain, or T_{s,s2}(xi) is not in AM")
+    return AMElement(CartanVector(logs[0]), SignVector(tuple(int(v) for v in signs[0])))
 
 
 def cocycle(

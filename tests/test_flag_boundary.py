@@ -9,6 +9,7 @@ from chamberflow.flag_boundary import (
     Flag,
     act,
     boundary_margin_estimate,
+    boundary_margins,
     cell_margin,
     canonicalize_rep,
     comparison_matrix,
@@ -21,7 +22,7 @@ from chamberflow.flag_boundary import (
     opposite_flag,
     standard_flag,
 )
-from chamberflow.linalg_core import GroupElement, bruhat_lu, random_group_element, random_rotation
+from chamberflow.linalg_core import GroupElement, random_group_element, random_rotation
 
 
 def test_canonical_representative_has_unit_determinant():
@@ -195,21 +196,65 @@ def test_one_factorisation_per_margin_call(monkeypatch, n):
     pairs.append((standard_flag(n), opposite_flag(n)))
     expected = [_two_pass_margin(xi, xi_check) for xi, xi_check in pairs]
     calls = []
+    real_lu = flag_boundary._lu_stack
 
-    def counted_lu(g, config):
-        calls.append(g)
-        return bruhat_lu(g, config)
+    def counted_lu(mats, config):
+        calls.append(len(mats))
+        return real_lu(mats, config)
 
-    monkeypatch.setattr(flag_boundary, "bruhat_lu", counted_lu)
+    # the scalar margins are the one-flag case of the stacked kernel, so
+    # each call factors a stack of one comparison matrix, once
+    monkeypatch.setattr(flag_boundary, "_lu_stack", counted_lu)
     for (xi, xi_check), margin in zip(pairs, expected):
         del calls[:]
         assert boundary_margin_estimate(xi, xi_check) == margin
-        assert len(calls) == 1
+        assert calls == [1]
         del calls[:]
         assert cell_margin(xi, xi_check) == margin
-        assert len(calls) == 1
+        assert calls == [1]
     del calls[:]
     assert boundary_margin_estimate(standard_flag(n), standard_flag(n)) == 0.0
     with pytest.raises(NotTransverse):
         cell_margin(standard_flag(n), standard_flag(n))
-    assert len(calls) == 2
+    assert calls == [1, 1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_stacked_margins_match_the_closed_form(n):
+    rng = np.random.default_rng(60 + n)
+    xi_check = Flag(random_rotation(rng, n))
+    flags = [Flag(random_rotation(rng, n)) for _ in range(12)]
+    # frames whose first vector lies in xi_check's first line: not transverse
+    for _ in range(3):
+        turn = np.eye(n)
+        turn[1:, 1:] = random_rotation(rng, n - 1) if n > 2 else 1.0
+        flags.append(Flag(xi_check.rep @ turn))
+    margins = boundary_margins(np.asarray([xi.rep for xi in flags]), xi_check)
+    assert margins.tolist() == [_two_pass_margin(xi, xi_check) for xi in flags]
+    assert np.all(margins[:12] > 0.0)
+    assert margins[12:].tolist() == [0.0] * 3
+
+
+def _reference_canonical(rep):
+    """The per-column gauge fix that the stacked one replaced."""
+    rep = rep.copy()
+    n = rep.shape[0]
+    for j in range(n - 1):
+        i = int(np.argmax(np.abs(rep[:, j])))
+        if rep[i, j] < 0:
+            rep[:, j] = -rep[:, j]
+    if np.linalg.det(rep) < 0:
+        rep[:, n - 1] = -rep[:, n - 1]
+    return rep
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stacked_canonical_reps_match_the_per_frame_loop(n):
+    rng = np.random.default_rng(80 + n)
+    frames = [random_rotation(rng, n) * rng.choice([-1.0, 1.0], size=n) for _ in range(20)]
+    # every column a tie in magnitude, broken by the lowest row
+    frames.append(np.full((n, n), 1.0 / np.sqrt(n)) * (np.arange(n) % 2 * 2 - 1.0))
+    stacked = canonicalize_rep(np.asarray(frames))
+    for frame, got in zip(frames, stacked):
+        assert np.array_equal(got, _reference_canonical(frame))
+        assert np.array_equal(canonicalize_rep(frame), got)

@@ -1,6 +1,7 @@
-"""Static check, by the standard-library ast only: every name a module of
-chamberflow imports is referenced in that module. The package __init__ is
-exempt, since its imports are the re-exported API."""
+"""Static checks, by the standard-library ast only: every name a module of
+chamberflow imports is referenced in that module (the package __init__ is
+exempt, since its imports are the re-exported API), and every private
+top-level function or class is used somewhere in the library."""
 
 import ast
 from pathlib import Path
@@ -35,3 +36,47 @@ def test_no_module_imports_a_name_it_never_uses():
 def test_the_check_sees_an_unused_import():
     tree = ast.parse("import os\nimport numpy as np\nfrom a.b import c, d\nprint(np, c)\n")
     assert _unused_imports(tree) == ["d (line 3)", "os (line 1)"]
+
+
+def _private_defs(trees):
+    """(module, node) of each private top-level function or class."""
+    return [
+        (module, node)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+
+
+def _dead_private_helpers(trees):
+    """Private top-level definitions that no code outside their own body
+    reads, as a name or as an attribute; an import alone is not a use."""
+    refs = {}
+    for tree in trees.values():
+        for ref in ast.walk(tree):
+            if isinstance(ref, ast.Name):
+                refs.setdefault(ref.id, []).append(ref)
+            elif isinstance(ref, ast.Attribute):
+                refs.setdefault(ref.attr, []).append(ref)
+    dead = []
+    for module, node in _private_defs(trees):
+        own = {id(inner) for inner in ast.walk(node)}
+        if all(id(ref) in own for ref in refs.get(node.name, [])):
+            dead.append(f"{module}.{node.name}")
+    return sorted(dead)
+
+
+def test_every_private_helper_is_used():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert _private_defs(trees)
+    assert _dead_private_helpers(trees) == []
+
+
+def test_the_check_sees_a_dead_private_helper():
+    trees = {
+        "a": ast.parse("def _used():\n    pass\n\ndef _recursive(k):\n    return _recursive(k - 1)\n"),
+        "b": ast.parse("from a import _used, _recursive\nimport a\n\nclass _Unused:\n    pass\n\nprint(a._used)\n"),
+    }
+    assert _dead_private_helpers(trees) == ["a._recursive", "b._Unused"]

@@ -6,8 +6,10 @@ from chamberflow.linalg_core import (
     AMElement,
     CartanVector,
     GroupElement,
+    DEFAULT_CONFIG,
     MAX_SAMPLE_TRIES,
     SignVector,
+    _lu_stack,
     am_distance,
     bruhat_lu,
     cartan_kak,
@@ -161,3 +163,41 @@ def test_decompositions_are_deterministic():
     g = random_group_element(rng, 3)
     t1, t2 = iwasawa_kan(g), iwasawa_kan(g)
     assert np.array_equal(t1.k, t2.k) and np.array_equal(t1.u, t2.u)
+
+
+def _reference_lu(mat, tol_minor):
+    """The per-matrix Doolittle loop that the stacked one replaced: (lower,
+    upper triangle, None) or (None, None, (failing index, pivot))."""
+    n = mat.shape[0]
+    a = mat.copy()
+    lower = np.eye(n)
+    scale = float(np.abs(mat).max())
+    for k in range(n):
+        piv = a[k, k]
+        if abs(piv) <= tol_minor * scale:
+            return None, None, (k, float(piv))
+        factors = a[k + 1:, k] / piv
+        lower[k + 1:, k] = factors
+        a[k + 1:, k:] -= np.outer(factors, a[k, k:])
+    return lower, np.triu(a), None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_stacked_lu_matches_the_per_matrix_loop(n):
+    rng = np.random.default_rng(70 + n)
+    mats = list(rng.standard_normal((6, n, n)))
+    # one matrix failing at each pivot: a vanishing leading minor of size k + 1
+    for k in range(n):
+        mat = rng.standard_normal((n, n))
+        mat[k, : k + 1] = rng.standard_normal(k) @ mat[:k, : k + 1] if k else 0.0
+        mats.append(mat)
+    lower, a, first_fail = _lu_stack(np.asarray(mats), DEFAULT_CONFIG)
+    for i, mat in enumerate(mats):
+        ref_lower, ref_upper, failure = _reference_lu(mat, DEFAULT_CONFIG.tol_minor)
+        if failure is None:
+            assert first_fail[i] == n
+            assert np.array_equal(lower[i], ref_lower)
+            assert np.array_equal(np.triu(a[i]), ref_upper)
+        else:
+            assert (first_fail[i], a[i, failure[0], failure[0]]) == failure
+    assert first_fail[-n:].tolist() == list(range(n))

@@ -1,17 +1,31 @@
 import numpy as np
 import pytest
 
-from chamberflow.errors import BudgetExceeded, CertificationFailure, HypothesisViolated, NotLoxodromic
+from chamberflow import loxodromy, sections_cocycles
+from chamberflow.errors import (
+    BudgetExceeded,
+    CertificationFailure,
+    ChamberflowError,
+    HypothesisViolated,
+    NotLoxodromic,
+    OutOfDomain,
+)
 from chamberflow.flag_boundary import (
     Flag,
+    _rotation,
+    _so_directions,
+    act,
     boundary_margin_estimate,
+    cell_margin,
     flag_distance,
     flags_equal,
+    k_iota,
     opposite_flag,
     standard_flag,
 )
-from chamberflow.linalg_core import GroupElement, am_distance, random_rotation
+from chamberflow.linalg_core import AMElement, Config, DEFAULT_CONFIG, GroupElement, am_distance, random_rotation
 from chamberflow.loxodromy import (
+    REpsCertificate,
     certify_r_eps,
     classify,
     cocycle_via_jordan,
@@ -23,9 +37,9 @@ from chamberflow.loxodromy import (
     ratio_at,
     _sample_k_r,
 )
-from chamberflow.sections_cocycles import cocycle, compact_section
+from chamberflow.sections_cocycles import Section, cocycle, compact_section
 
-from conftest import rotation2
+from conftest import conjugated, rotation2
 
 
 def test_classify_diagonal_element():
@@ -163,3 +177,185 @@ def test_product_estimate_rejects_oversized_r(sl2_pair):
     sections = [s, s, compact_section(L2.repelling)]
     with pytest.raises(HypothesisViolated):
         product_estimate([L1, L2], [3, 3], L2.attracting, sections, 10.0, 0.16, 0.5)
+
+
+def test_product_estimate_refuses_a_non_transverse_pair_by_its_margin():
+    # g2- is g1+: the pair is not transverse, so its margin is 0 < 6r
+    L1 = classify(GroupElement(np.diag([9.0, 1 / 9.0])))
+    L2 = classify(GroupElement(np.diag([1 / 9.0, 9.0])))
+    assert flags_equal(L2.repelling, L1.attracting)
+    sections = [compact_section(L1.repelling), compact_section(L1.repelling), compact_section(L2.repelling)]
+    with pytest.raises(HypothesisViolated) as info:
+        product_estimate([L1, L2], [1, 1], L2.attracting, sections, 0.1, 0.1, 0.5)
+    assert info.value.clause == "*"
+
+
+def test_product_estimate_refuses_products_out_of_range(sl3_triple):
+    sections = [compact_section(sl3_triple[0].repelling)] + [
+        compact_section(L.repelling) for L in sl3_triple
+    ]
+    xi0 = sl3_triple[2].attracting
+    for p in (4, 8, 32):
+        with pytest.raises(ChamberflowError) as info:
+            product_estimate(sl3_triple, [p] * 3, xi0, sections, 0.17, 0.17, 0.5)
+        if p != 8:
+            assert info.value.clause == "range"
+    # powers [2, 2, 2] stay in range, and their report is the one before the
+    # range check
+    report = product_estimate(sl3_triple, [2] * 3, xi0, sections, 0.17, 0.17, 0.5)
+    assert report.product.lam.coords == pytest.approx([16.11554047, 0.35002546, -16.46556593], abs=1e-8)
+    assert report.beta_distance == pytest.approx(0.005380087433059838, rel=1e-9)
+    assert report.lox_distance == pytest.approx(0.008677833876965066, rel=1e-9)
+
+
+def _reference_delta(r, eps, mc_samples, seed, n, config=DEFAULT_CONFIG):
+    """The per-sample delta_r_eps loop on Flag objects that the stacked one
+    replaced; returns (estimate, pairs out of domain)."""
+    rng = np.random.default_rng(seed)
+    check = Flag(k_iota(n))
+    identity = AMElement.identity(n)
+    pool = [_sample_k_r(rng, n, r) for _ in range(min(16, max(4, mc_samples // 64)))]
+    dirs = _so_directions(n, 2 * (n * (n - 1) // 2))
+    worst, accepted, tries, dropped = 0.0, 0, 0, 0
+    while accepted < mc_samples:
+        if tries == 100 * mc_samples:
+            raise BudgetExceeded(
+                f"delta_r_eps accepted {accepted} of {tries} draws, short of {mc_samples}"
+            )
+        tries += 1
+        xi1 = Flag(random_rotation(rng, n))
+        if boundary_margin_estimate(xi1, check, config=config) < 3 * r:
+            continue
+        s = Section("compact", check, identity, pool[accepted % len(pool)])
+        direction = dirs[rng.integers(len(dirs))]
+        xi2 = Flag(_rotation(direction, eps * rng.uniform(0.2, 1.0)) @ xi1.rep)
+        try:
+            value = ratio(s, s, check, xi1, xi2, config)
+        except OutOfDomain:
+            dropped += 1
+            continue
+        d = am_distance(value, identity)
+        if np.isfinite(d):
+            worst = max(worst, d)
+        accepted += 1
+    return worst, dropped
+
+
+@pytest.mark.parametrize(
+    "r, eps, mc_samples, n",
+    [(0.3, 0.2, 40, 2), (0.15, 0.15, 128, 3), (0.1, 0.1, 30, 4)],
+)
+def test_stacked_delta_matches_the_per_sample_loop(r, eps, mc_samples, n):
+    for seed in range(3):
+        expected, _ = _reference_delta(r, eps, mc_samples, seed, n)
+        assert delta_r_eps(r, eps, mc_samples, seed=seed, n=n) == expected
+
+
+def test_stacked_delta_matches_the_per_sample_loop_on_criterion_5():
+    for r, eps, n in ((0.18, 0.16, 2), (0.17, 0.17, 3)):
+        expected, _ = _reference_delta(r, eps, 1000, 0, n)
+        assert delta_r_eps(r, eps, 1000, seed=0, n=n) == expected
+
+
+@pytest.mark.parametrize("r, n, tol_minor", [(0.05, 2, 0.7), (0.1, 3, 0.6), (0.05, 4, 0.7)])
+def test_stacked_delta_drops_pairs_out_of_domain(monkeypatch, r, n, tol_minor):
+    """A pivot threshold this coarse puts some xi2 outside a section domain;
+    each such pair is dropped and the rest evaluated again, once per drop."""
+    config = Config(tol_minor=tol_minor)
+    expected, dropped = _reference_delta(r, r, 60, 1, n, config)
+    assert dropped >= 1
+    calls = []
+    real = loxodromy.ratios
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(loxodromy, "ratios", counted)
+    assert delta_r_eps(r, r, 60, seed=1, n=n, config=config) == expected
+    assert len(calls) == 1 + dropped
+
+
+def test_stacked_delta_budget_message_matches_the_per_sample_loop():
+    with pytest.raises(BudgetExceeded) as expected:
+        _reference_delta(0.6, 0.1, 20, 0, 3)
+    with pytest.raises(BudgetExceeded, match="accepted 2 of 2000 draws") as got:
+        delta_r_eps(0.6, 0.1, mc_samples=20, seed=0, n=3)
+    assert str(got.value) == str(expected.value)
+
+
+def test_delta_evaluates_one_stacked_ratio(monkeypatch):
+    counts = {"ratios": 0, "ratio": 0, "transition": 0, "eval_section": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(loxodromy, "ratios")
+    counting(loxodromy, "ratio")
+    counting(sections_cocycles, "transition")
+    counting(sections_cocycles, "eval_section")
+    delta_r_eps(0.15, 0.15, 128, seed=0, n=3)
+    # this call draws no pair out of domain, so nothing is evaluated twice
+    assert counts == {"ratios": 1, "ratio": 0, "transition": 0, "eval_section": 0}
+
+
+def _reference_certify(L, r, eps, grid=200, config=DEFAULT_CONFIG):
+    """The per-flag certify_r_eps loop on Flag objects that the stacked one
+    replaced (parameter checks left out)."""
+    margin = cell_margin(L.attracting, L.repelling, config=config)
+    if r > 0.5 * margin:
+        raise CertificationFailure("i", f"r={r} > half margin {0.5 * margin:.4f}")
+    rng = np.random.default_rng(0)
+    samples, tries = [], 0
+    while len(samples) < grid and tries < 50 * grid:
+        tries += 1
+        xi = Flag(random_rotation(rng, L.g.n))
+        if boundary_margin_estimate(xi, L.repelling, config=config) >= eps:
+            samples.append(xi)
+    if len(samples) < grid:
+        raise CertificationFailure("ii", "could not populate the sample grid")
+    images = [act(L.g, xi) for xi in samples]
+    for gxi in images:
+        d = flag_distance(gxi, L.attracting)
+        if d > eps:
+            raise CertificationFailure("ii", f"image at distance {d:.4f} > eps")
+    max_quotient = 0.0
+    for i in range(len(samples) - 1):
+        d0 = flag_distance(samples[i], samples[i + 1])
+        if d0 >= 1e-9:
+            max_quotient = max(max_quotient, flag_distance(images[i], images[i + 1]) / d0)
+    if max_quotient > eps:
+        raise CertificationFailure("iii", f"Lipschitz quotient {max_quotient:.4f} > eps")
+    return REpsCertificate(r, eps, max_quotient, len(samples))
+
+
+def _outcome(certify, *args):
+    try:
+        return certify(*args)
+    except CertificationFailure as exc:
+        return exc.clause, str(exc)
+
+
+def test_stacked_certify_matches_the_per_flag_loop(sl3_triple):
+    cases = [
+        (classify(GroupElement(np.diag([100.0, 0.01]))), 0.3, 0.3),
+        (classify(GroupElement(np.diag([100.0, 0.01]))), 1.2, 0.5),
+        (classify(GroupElement(np.diag([9.0, 1 / 9.0]))), 0.2, 0.05),
+        (classify(GroupElement(np.diag([1e4, 1.0, 1e-4]))), 0.95, 0.95),
+        (classify(GroupElement(conjugated(170, [50.0, 0.5, 0.04]))), 0.1, 0.05),
+    ] + [(power(L, k), 0.17, 0.17) for L in sl3_triple for k in (1, 2)]
+    clauses = set()
+    for L, r, eps in cases:
+        expected = _outcome(_reference_certify, L, r, eps, 120)
+        assert _outcome(certify_r_eps, L, r, eps, 120) == expected
+        if isinstance(expected, tuple):
+            clauses.add(expected[0])
+        else:
+            assert type(expected.lipschitz_bound) is float
+    assert clauses == {"i", "ii"}
