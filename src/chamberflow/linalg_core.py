@@ -198,6 +198,13 @@ def am_distance(x: AMElement, y: AMElement) -> float:
     return float(np.linalg.norm(x.a.coords - y.a.coords))
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of an (N, k) array, bit for bit: that is the
+    square root of the row's dot product, and a (1, k) @ (k, 1) matmul takes
+    the same dot routine."""
+    return np.sqrt(np.matmul(x[:, np.newaxis, :], x[:, :, np.newaxis])[:, 0, 0])
+
+
 @dataclass(frozen=True)
 class IwasawaTriple:
     """(k, a, u) with k in SO(n), a in the Cartan subalgebra, u unitriangular."""

@@ -25,6 +25,7 @@ from .linalg_core import (
     SignVector,
     _kan_stack,
     _random_rotations,
+    _row_norms,
     _trace_free,
     am_distance,
 )
@@ -339,7 +340,7 @@ def delta_r_eps(
         # d_AM(R, e) is infinite off the identity component, and skipped
         a = _trace_free(a[:good][(signs[:good] > 0).all(axis=1)])
         if len(a):
-            worst = max(worst, float(np.max(np.sqrt(np.vecdot(a, a)))))
+            worst = max(worst, float(np.max(_row_norms(a))))
         accepted += good
         del queue1[: good + 1], queue2[: good + 1]
     return worst

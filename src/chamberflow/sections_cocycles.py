@@ -25,6 +25,7 @@ from .linalg_core import (
     SignVector,
     _kan_stack,
     _lu_stack,
+    _row_norms,
     bruhat_lu,
     iwasawa_kan,
     leading_minors,
@@ -146,7 +147,7 @@ def transitions(
     k, logs, _ = _kan_stack(np.linalg.solve(v, v2))
     # k-part must be a diagonal sign matrix for T to land in AM
     off = (k * (1.0 - np.eye(n))).reshape(len(k), -1)
-    k_off = np.sqrt(np.vecdot(off, off))
+    k_off = _row_norms(off)
     signs = np.sign(np.diagonal(k, axis1=-2, axis2=-1))
     return logs, signs, inside & inside2 & (k_off <= 1e-7)
 

@@ -1,7 +1,8 @@
 """Static checks, by the standard-library ast only: every name a module of
 chamberflow imports is referenced in that module (the package __init__ is
-exempt, since its imports are the re-exported API), and every private
-top-level function or class is used somewhere in the library."""
+exempt, since its imports are the re-exported API), every private
+top-level function or class is used somewhere in the library, and the
+library reads no NumPy name that NumPy 1.24, the declared floor, lacks."""
 
 import ast
 from pathlib import Path
@@ -80,3 +81,48 @@ def test_the_check_sees_a_dead_private_helper():
         "b": ast.parse("from a import _used, _recursive\nimport a\n\nclass _Unused:\n    pass\n\nprint(a._used)\n"),
     }
     assert _dead_private_helpers(trees) == ["a._recursive", "b._Unused"]
+
+
+# names NumPy added in 2.0, at the top level and in numpy.linalg
+NUMPY_2_NAMES = {
+    "np": {
+        "acos", "acosh", "asin", "asinh", "atan", "atan2", "atanh", "astype",
+        "bitwise_count", "bitwise_invert", "bitwise_left_shift", "bitwise_right_shift",
+        "concat", "cumulative_prod", "cumulative_sum", "isdtype", "matrix_transpose",
+        "matvec", "permute_dims", "pow", "unstack", "vecdot", "vecmat",
+    },
+    "linalg": {
+        "cross", "diagonal", "matmul", "matrix_norm", "matrix_transpose", "outer",
+        "svdvals", "tensordot", "trace", "vecdot", "vector_norm",
+    },
+}
+
+
+def _numpy_2_names(tree):
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        owner = node.value
+        if isinstance(owner, ast.Attribute):
+            owner = owner.attr if isinstance(owner.value, ast.Name) and owner.value.id == "np" else None
+        elif isinstance(owner, ast.Name):
+            owner = owner.id
+        if node.attr in NUMPY_2_NAMES.get(owner, ()):
+            found.append(f"{owner}.{node.attr} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_no_numpy_2_only_names():
+    offenders = {
+        path.name: names
+        for path in sorted(SRC.glob("*.py"))
+        for names in [_numpy_2_names(ast.parse(path.read_text()))]
+        if names
+    }
+    assert offenders == {}
+
+
+def test_the_check_sees_a_numpy_2_name():
+    tree = ast.parse("np.sqrt(np.vecdot(a, a))\nnp.linalg.vector_norm(a)\nnp.trace(a)\n")
+    assert _numpy_2_names(tree) == ["linalg.vector_norm (line 2)", "np.vecdot (line 1)"]
