@@ -231,17 +231,18 @@ def cmd_schottky_build(args) -> int:
 def cmd_limit_cone(args) -> int:
     fam, config, digest = _load_family(args)
     cone = limit_cone(fam, args.max_len, config)
-    planar = chamber_coords(np.array([ray.coords for ray in cone.rays]))
+    rays = cone.rays.coords
+    planar = chamber_coords(rays)
     dir_y = planar[:, 1] if planar.shape[1] > 1 else np.zeros(len(planar))
     rows = [
         {
             "word_id": i,
             "length": cone.word_length,
-            "lambda": list(ray.coords),
+            "lambda": list(ray),
             "dir_x": float(x),
             "dir_y": float(y),
         }
-        for i, (ray, x, y) in enumerate(zip(cone.rays, planar[:, 0], dir_y))
+        for i, (ray, x, y) in enumerate(zip(rays, planar[:, 0], dir_y))
     ]
     if args.csv:
         with open(args.csv, "w") as fh:

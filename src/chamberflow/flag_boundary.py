@@ -9,6 +9,7 @@ a Bruhat cell in closed form, from principal angles between subspaces.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,13 +29,16 @@ from .linalg_core import (
 )
 
 
+@functools.cache
 def k_iota(n: int) -> np.ndarray:
-    """Antidiagonal permutation with the (1, n) entry sign fixed so det = +1."""
+    """Antidiagonal permutation with the (1, n) entry sign fixed so det = +1,
+    as one read-only array per n."""
     j = np.zeros((n, n))
     for i in range(n):
         j[i, n - 1 - i] = 1.0
     if np.linalg.det(j) < 0:
         j[0, n - 1] = -1.0
+    j.setflags(write=False)
     return j
 
 
@@ -97,15 +101,11 @@ def act(g: GroupElement, xi: Flag) -> Flag:
     return flag_of(GroupElement(g.entries @ xi.rep))
 
 
-_SIGN_ARRAY_CACHE: dict = {}
-
-
+@functools.cache
 def _sign_array(n: int) -> np.ndarray:
-    cached = _SIGN_ARRAY_CACHE.get(n)
-    if cached is None:
-        cached = np.asarray([m.signs for m in sign_vectors(n)], dtype=float)
-        _SIGN_ARRAY_CACHE[n] = cached
-    return cached
+    out = np.asarray([m.signs for m in sign_vectors(n)], dtype=float)
+    out.setflags(write=False)
+    return out
 
 
 def flag_distances(reps: np.ndarray, others: np.ndarray) -> np.ndarray:

@@ -49,6 +49,16 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _cartan_normal_form(coords) -> np.ndarray:
+    """CartanVector coordinates of one vector or of each row of a stack
+    (the last axis): the trace-free projection, frozen. Raises ValueError
+    if a vector still does not sum to 0."""
+    coords = _freeze(_trace_free(np.asarray(coords, dtype=float)))
+    if (np.abs(coords.sum(axis=-1)) > 1e-10).any():
+        raise ValueError("CartanVector coordinates must sum to 0")
+    return coords
+
+
 @dataclass(frozen=True)
 class GroupElement:
     """An n x n real matrix of determinant 1."""
@@ -98,10 +108,7 @@ class CartanVector:
 
     def __post_init__(self):
         # project out the numerical drift of the trace-zero constraint
-        coords = _trace_free(np.asarray(self.coords, dtype=float))
-        object.__setattr__(self, "coords", _freeze(coords))
-        if abs(self.coords.sum()) > 1e-10:
-            raise ValueError("CartanVector coordinates must sum to 0")
+        object.__setattr__(self, "coords", _cartan_normal_form(self.coords))
         diffs = np.diff(self.coords)
         if self.tag == "chamber_plus" and np.any(diffs > 1e-12):
             raise ValueError("chamber_plus requires non-increasing coordinates")

@@ -24,6 +24,7 @@ from .linalg_core import (
     DEFAULT_CONFIG,
     GroupElement,
     SignVector,
+    _cartan_normal_form,
     project_to_sl,
 )
 from .flag_boundary import act, boundary_margin_estimate, flag_distance, is_transverse
@@ -45,8 +46,14 @@ class SchottkyFamily:
 
 @dataclass(frozen=True)
 class ConeEstimate:
-    rays: tuple          # normalized Jordan directions of sampled words
-    hull: tuple          # extreme rays of the convex cone hull
+    rays: np.recarray    # read-only (N,) record array, one field `coords` of
+                         # shape (n,): the normalized Jordan directions of the
+                         # sampled words, as CartanVector coordinates.
+                         # `rays.coords` is the (N, n) array; the record view
+                         # keeps `rays[i].coords` and iteration working, which
+                         # the `words` benchmark's check and fingerprint read,
+                         # so a plain (N, n) ndarray would break them
+    hull: tuple          # CartanVectors: extreme rays of the convex cone hull
     word_length: int
 
 
@@ -263,8 +270,9 @@ def _cone_estimate(rays: np.ndarray, n: int, word_length: int) -> ConeEstimate:
         flat = (pts / (pts @ c)[:, np.newaxis]) @ null_space(c[np.newaxis, :])
         vertices = ConvexHull(flat, qhull_options="Qbb Qc C-1e-9").vertices
         hull = pts[np.sort(vertices)] @ basis.T
+    coords = _cartan_normal_form(rays)
     return ConeEstimate(
-        tuple(CartanVector(ray) for ray in rays),
+        coords.view([("coords", float, coords.shape[1:])])[:, 0].view(np.recarray),
         tuple(CartanVector(h / np.linalg.norm(h)) for h in hull),
         word_length,
     )

@@ -1,5 +1,6 @@
-"""The benchmark's per-layer metrics look library functions up by name;
-a rename that drops one of them must fail here, not in the benchmark."""
+"""The benchmark's per-layer metrics look library functions up by name,
+and its checks read library results by attribute; a rename or a type
+change that drops one of them must fail here, not in the benchmark."""
 
 import importlib
 import importlib.util
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+from chamberflow.schottky_dynamics import limit_cone
 from chamberflow.torus_density import TorusPoint, _generated_group
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -51,3 +53,18 @@ def test_generated_group_returns_equal_length_points_and_coeffs():
     gens = [TorusPoint([1.0], [0.0]), TorusPoint([np.sqrt(2.0)], [0.5])]
     points, coeffs = _generated_group(gens, np.array([[-1.0, 1.0]]), 1, 0.1, 1000)
     assert len(points) == len(coeffs) > 1
+
+
+def test_cone_estimate_supports_the_words_reads(cone_family):
+    # the words check reads len(cone.rays) and cone.rays[i].coords, and its
+    # fingerprint reads cone.hull[i].coords
+    cone = limit_cone(cone_family, 3)
+    n = cone_family.generators[0].g.n
+    assert len(cone.rays) == 2 + 4 + 8
+    for i in (0, 5, len(cone.rays) - 1):
+        ray = cone.rays[i].coords
+        assert isinstance(ray, np.ndarray) and ray.dtype == float and ray.shape == (n,)
+    assert all(ray.coords.shape == (n,) for ray in cone.rays)
+    assert cone.hull
+    for h in cone.hull:
+        assert isinstance(h.coords, np.ndarray) and h.coords.shape == (n,)

@@ -55,6 +55,10 @@ def test_k_iota_is_special_orthogonal():
         j = k_iota(n)
         assert np.isclose(np.linalg.det(j), 1.0)
         assert np.allclose(j.T @ j, np.eye(n))
+        # built once per n and shared, so it cannot be written into
+        assert k_iota(n) is j
+        with pytest.raises(ValueError, match="read-only"):
+            j[0, 0] = 1.0
 
 
 def test_action_on_flags_is_a_group_action():

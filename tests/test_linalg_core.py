@@ -9,6 +9,7 @@ from chamberflow.linalg_core import (
     DEFAULT_CONFIG,
     MAX_SAMPLE_TRIES,
     SignVector,
+    _cartan_normal_form,
     _lu_stack,
     am_distance,
     bruhat_lu,
@@ -133,6 +134,20 @@ def test_cartan_vector_tags():
         CartanVector([0.0, 1.0, -1.0], tag="chamber_plus")
     with pytest.raises(ValueError):
         CartanVector([1.0, 1.0, -2.0], tag="chamber_plus_plus")
+
+
+def test_cartan_normal_form_of_a_stack_is_per_vector():
+    rows = np.random.default_rng(5).standard_normal((50, 3))
+    stack = _cartan_normal_form(rows)
+    assert not stack.flags.writeable
+    assert stack.tobytes() == np.array([CartanVector(r).coords for r in rows]).tobytes()
+    # a vector too large for its trace-free drift to stay below 1e-10 is
+    # refused alone and inside a stack, with the same error
+    bad = [1e9, 1.0, 3.0]
+    with pytest.raises(ValueError, match="must sum to 0"):
+        CartanVector(bad)
+    with pytest.raises(ValueError, match="must sum to 0"):
+        _cartan_normal_form(np.vstack([rows, bad]))
 
 
 def test_sign_vector_group_law():

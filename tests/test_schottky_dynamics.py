@@ -193,6 +193,25 @@ def test_limit_cone_single_generator(cone_family):
     assert np.abs(cone.hull[0].coords - lam / np.linalg.norm(lam)).max() < 1e-9
 
 
+def test_limit_cone_rays_are_one_read_only_array(cone_family):
+    mats = [L.g.entries for L in cone_family.generators]
+    unit = np.concatenate(
+        [schottky_dynamics._unit_rays(stable_word_lambdas(mats, k)[1]) for k in range(1, 7)]
+    )
+    rays = limit_cone(cone_family, 6).rays
+    assert len(rays) == len(unit) == 2 + 4 + 8 + 16 + 32 + 64
+    # one CartanVector per ray is the oracle, bit for bit
+    oracle = np.array([CartanVector(ray).coords for ray in unit])
+    assert rays.coords.shape == oracle.shape
+    assert rays.coords.tobytes() == oracle.tobytes()
+    assert rays[5].coords.tobytes() == oracle[5].tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        rays.coords[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        rays[0].coords[0] = 1.0
+    assert rays.coords.tobytes() == oracle.tobytes()
+
+
 def test_limit_cone_hull_contains_all_rays(cone_family):
     cone = limit_cone(cone_family, 4)
     for ray in cone.rays:
@@ -211,13 +230,13 @@ def test_limit_cone_in_sl4():
         0.12,
     )
     cone = limit_cone(fam, 4)
-    rays = np.array([ray.coords for ray in cone.rays])
+    rays = cone.rays.coords
     assert rays.shape == (2 + 4 + 8 + 16, 4)
     assert len(cone.hull) >= 3
     for h in cone.hull:
         assert np.abs(rays - h.coords).max(axis=1).min() < 1e-12
-    for ray in cone.rays:
-        assert cone_contains(cone, ray.coords)
+    for ray in rays:
+        assert cone_contains(cone, ray)
     # every hull ray is extreme: none is a nonnegative combination of the others
     hull = np.array([h.coords for h in cone.hull])
     for i, h in enumerate(hull):
