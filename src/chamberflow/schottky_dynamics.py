@@ -146,14 +146,37 @@ def _word_array(num_gens: int, length: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """Sum over the first axis, one term at a time in index order, so that
+    the bits of every entry do not depend on the sizes of the other axes."""
+    total = a[0]
+    for row in a[1:]:
+        total = total + row
+    return total
+
+
 def _batched_qr_positive(frames: np.ndarray):
     """QR of a stack of square matrices with positive R diagonal; returns
-    (Q stack, log|diag R| stack)."""
-    q, r = np.linalg.qr(frames)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    signs = np.where(diag < 0, -1.0, 1.0)
-    q = q * signs[:, np.newaxis, :]
-    return q, np.log(np.abs(diag))
+    (Q stack, log|diag R| stack).
+
+    Classical Gram-Schmidt runs twice on whole columns of the stack, each
+    column one contiguous (n, B) array: one reorthogonalisation gives
+    orthogonality at machine precision for every numerically nonsingular
+    matrix ("twice is enough", Giraud, Langou and Rozloznik 2005). Every
+    step is an elementwise ufunc or a `_sum_rows`, so the bits of each
+    matrix's factors do not depend on the rest of the stack."""
+    n = frames.shape[-1]
+    cols = np.ascontiguousarray(frames.transpose(2, 1, 0))  # cols[j][i, b] = frames[b, i, j]
+    q = np.empty_like(cols)
+    norms = np.empty((n, len(frames)))
+    for j in range(n):
+        v = cols[j]
+        for _ in range(2 if j else 0):
+            coeffs = _sum_rows((q[:j] * v).swapaxes(0, 1))  # (j, B): <q_i, v>
+            v = v - _sum_rows(coeffs[:, np.newaxis] * q[:j])
+        norms[j] = np.sqrt(_sum_rows(v * v))
+        np.divide(v, norms[j], out=q[j])
+    return np.ascontiguousarray(q.transpose(2, 1, 0)), np.log(norms).T
 
 
 def _necklace_index(num_gens: int, length: int):
@@ -171,67 +194,94 @@ def _necklace_index(num_gens: int, length: int):
     return np.unique(least, return_inverse=True)
 
 
-def stable_word_lambdas(mats: list, length: int):
-    """Jordan projections and eigenvalue signs of all positive words of a
-    given length, computed without ever forming the word products.
+def _necklace_sweep(mats: list, lengths):
+    """Engine output (words, lambdas, signs) for each of the given word
+    lengths in turn, from one batched sweep over the necklace
+    representatives of all of them, without ever forming a word product.
 
-    Both are conjugation invariants, so every cyclic rotation of a word has
-    the values of its necklace; the sweeps below run once per necklace, on
-    its least rotation, and the results are scattered to every word.
+    Both outputs are conjugation invariants, so every cyclic rotation of a
+    word has the values of its necklace: the sweep runs once per necklace,
+    on its least rotation, and the results are scattered to every word.
 
-    A first sweep of per-letter applications converges a frame F0 to each
-    word's attracting flag; a second sweep accumulates the per-letter
-    Iwasawa a-parts, which telescope to the Jordan projection evaluated at
-    the attracting flag, and ends at a frame F1. Every step is an
-    orthogonal-matrix QR, so the result stays accurate for words whose raw
-    products overflow double precision.
+    A row of length k first runs max(2, ceil(24 / k)) periods of
+    per-letter applications, which converge a frame F0 to its word's
+    attracting flag, then one period that accumulates the per-letter
+    Iwasawa a-parts; these telescope to the Jordan projection evaluated at
+    the attracting flag, and the period ends at a frame F1. Every step is
+    an orthogonal-matrix QR, so the result stays accurate for words whose
+    raw products overflow double precision. Rows of every length share
+    each step's QR call: a row starts late enough to end on the last step
+    and is held fixed until then, so it goes through the operations of a
+    sweep of its length alone, with the same bits.
 
-    Since w F0 = F1 R with R upper triangular and positive on the diagonal,
-    and F1 = F0 S on the attracting flag, F0^T w F0 = S R: the signs of the
-    eigenvalues in decreasing modulus order are S = sign(diag(F0^T F1)).
-    Returns (words, lambdas, signs) for all words, in lexicographic order,
-    with words of shape (N, length); raises NotLoxodromic if some
-    necklace's frame has not converged (|diag(F0^T F1)| < 1/2).
+    Since w F0 = F1 R with R upper triangular and positive on the
+    diagonal, and F1 = F0 S on the attracting flag, F0^T w F0 = S R: the
+    signs of the eigenvalues in decreasing modulus order are
+    S = sign(diag(F0^T F1)). Each length's words come in lexicographic
+    order, of shape (N, length); reaching a length with a necklace whose
+    frame has not converged (|diag(F0^T F1)| < 1/2) raises NotLoxodromic.
     """
     n = mats[0].shape[0]
-    words = _word_array(len(mats), length)
-    reps, inverse = _necklace_index(len(mats), length)
-    swept = words[reps]
-    big = len(swept)
+    necklaces = [_necklace_index(len(mats), k) for k in lengths]
+    bounds = np.cumsum([0] + [len(reps) for reps, _ in necklaces])
+    lens = np.repeat(lengths, np.diff(bounds))
+    rows = np.arange(len(lens))
+    swept = np.zeros((len(lens), max(lengths)), dtype=int)  # zero-padded
+    for k, (reps, _), lo, hi in zip(lengths, necklaces, bounds, bounds[1:]):
+        swept[lo:hi, :k] = _word_array(len(mats), k)[reps]
+    span = (np.maximum(2, np.ceil(24.0 / lens).astype(int)) + 1) * lens
+    steps = int(span.max())
+    begin = steps - span
+    measure_from = steps - lens  # first step of the last period
     xi_star = np.linalg.qr(np.random.default_rng(12345).standard_normal((n, n)))[0]
-    frames = np.broadcast_to(xi_star, (big, n, n)).copy()
-    stacked = np.asarray(mats)
-    for _ in range(max(2, int(np.ceil(24.0 / length)))):
-        for j in range(length):
-            frames = stacked[swept[:, j]] @ frames
-            frames, _ = _batched_qr_positive(frames)
+    frames = np.broadcast_to(xi_star, (len(lens), n, n)).copy()
     start = frames
-    lam = np.zeros((big, n))
-    for j in range(length):
-        frames = stacked[swept[:, j]] @ frames
-        frames, logs = _batched_qr_positive(frames)
-        lam += logs
+    lam = np.zeros((len(lens), n))
+    stacked = np.asarray(mats)
+    for t in range(steps):
+        if (t == measure_from).any():
+            start = np.where((t == measure_from)[:, np.newaxis, np.newaxis], frames, start)
+        letters = swept[rows, (t - begin) % lens]
+        moved, logs = _batched_qr_positive(stacked[letters] @ frames)
+        waiting = t < begin
+        frames = np.where(waiting[:, np.newaxis, np.newaxis], frames, moved) if waiting.any() else moved
+        lam += np.where((t >= measure_from)[:, np.newaxis], logs, 0.0)
     lam -= lam.mean(axis=1, keepdims=True)
     overlap = np.einsum("bij,bij->bj", start, frames)
     stalled = np.abs(overlap).min(axis=1) < 0.5
-    if stalled.any():
-        first = tuple(int(i) for i in swept[np.argmax(stalled)])
-        raise NotLoxodromic(
-            f"{int(stalled.sum())} of {big} necklaces of length {length} have no "
-            f"converged attracting frame (first: {first})"
-        )
-    return words, lam[inverse], np.where(overlap < 0, -1, 1)[inverse]
+    signs = np.where(overlap < 0, -1, 1)
+    for k, (_, inverse), lo, hi in zip(lengths, necklaces, bounds, bounds[1:]):
+        if stalled[lo:hi].any():
+            first = tuple(int(i) for i in swept[lo + np.argmax(stalled[lo:hi]), :k])
+            raise NotLoxodromic(
+                f"{int(stalled[lo:hi].sum())} of {hi - lo} necklaces of length {k} have no "
+                f"converged attracting frame (first: {first})"
+            )
+        yield _word_array(len(mats), k), lam[lo:hi][inverse], signs[lo:hi][inverse]
+
+
+def stable_word_lambdas(mats: list, length: int):
+    """Jordan projections and eigenvalue signs of all positive words of a
+    given length, computed without ever forming the word products: the
+    one-length case of `_necklace_sweep`.
+
+    Returns (words, lambdas, signs) for all words, in lexicographic order,
+    with words of shape (N, length); raises NotLoxodromic if some
+    necklace's frame has not converged.
+    """
+    (result,) = _necklace_sweep(mats, [length])
+    return result
 
 
 def _word_sweep(fam: SchottkyFamily, max_len: int, config: Config):
     """Engine output (words, lambdas, signs) for each length 1..max_len,
-    after one check of the total word count against config.max_words."""
+    from one sweep, after one check of the total word count against
+    config.max_words."""
     mats = [L.g.entries for L in fam.generators]
     count = sum(len(mats) ** k for k in range(1, max_len + 1))
     if count > config.max_words:
         raise BudgetExceeded(f"{count} words exceeds the budget max_words = {config.max_words}")
-    for length in range(1, max_len + 1):
-        yield stable_word_lambdas(mats, length)
+    yield from _necklace_sweep(mats, range(1, max_len + 1))
 
 
 def _unit_rays(lams: np.ndarray) -> np.ndarray:

@@ -67,3 +67,18 @@ def cone_family():
     a = conjugated(168, list(np.exp([7.0, 2.0, -9.0])))
     b = conjugated(169, list(np.exp([9.0, -2.0, -7.0])))
     return build_schottky([a, b], 0.15, 0.15)
+
+
+@pytest.fixture(scope="session")
+def words_triple():
+    """The `words` benchmark's three-generator SL(3) family: 540 necklaces
+    up to length 7."""
+    return build_schottky(
+        [
+            conjugated(1635, [20.0, 1.0, 1 / 20.0]),
+            conjugated(1636, [16.0, 2.0, 1 / 32.0]),
+            conjugated(1637, [18.0, 0.6, 1 / 10.8]),
+        ],
+        0.15,
+        0.12,
+    )

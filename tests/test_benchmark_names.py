@@ -10,7 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from chamberflow.schottky_dynamics import limit_cone
+from chamberflow import schottky_dynamics
+from chamberflow.schottky_dynamics import limit_cone, stable_word_lambdas
 from chamberflow.torus_density import TorusPoint, _generated_group
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -53,6 +54,18 @@ def test_generated_group_returns_equal_length_points_and_coeffs():
     gens = [TorusPoint([1.0], [0.0]), TorusPoint([np.sqrt(2.0)], [0.5])]
     points, coeffs = _generated_group(gens, np.array([[-1.0, 1.0]]), 1, 0.1, 1000)
     assert len(points) == len(coeffs) > 1
+
+
+def test_stable_word_lambdas_returns_one_row_per_word(cone_family):
+    # the tracer wraps only public functions of their own module, and it
+    # counts schottky_dynamics.stable_word_lambdas.words as len(result[0])
+    function = schottky_dynamics.stable_word_lambdas
+    assert inspect.isfunction(function) and function.__module__ == schottky_dynamics.__name__
+    counter = _tracing().COUNTERS["schottky_dynamics.stable_word_lambdas.words"]
+    assert counter[0] == "schottky_dynamics.stable_word_lambdas"
+    mats = [L.g.entries for L in cone_family.generators]
+    for length in (1, 3, 5):
+        assert len(stable_word_lambdas(mats, length)[0]) == len(mats) ** length
 
 
 def test_cone_estimate_supports_the_words_reads(cone_family):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -84,21 +85,17 @@ def test_stable_word_lambdas_against_mpmath(family, request):
             assert tuple(signs[row]) == exact_signs, word
 
 
-def test_necklace_words_against_mpmath():
-    # the benchmark's triple family: every word up to length 7 is checked
-    # against the exact eigenvalues of its necklace's least rotation
-    fam = build_schottky(
-        [
-            conjugated(1635, [20.0, 1.0, 1 / 20.0]),
-            conjugated(1636, [16.0, 2.0, 1 / 32.0]),
-            conjugated(1637, [18.0, 0.6, 1 / 10.8]),
-        ],
-        0.15,
-        0.12,
-    )
-    mats = [L.g.entries for L in fam.generators]
-    spans = [float(L.lam.coords[0] - L.lam.coords[-1]) for L in fam.generators]
-    for length in range(1, 8):
+def conjugated4(seed, logs, signs=(1, 1, 1, 1)):
+    h = random_rotation(np.random.default_rng(seed), 4)
+    return project_to_sl(h @ np.diag(np.multiply(signs, np.exp(logs))) @ h.T).entries
+
+
+def _check_necklaces_against_mpmath(mats, max_len):
+    """Every word up to max_len against the exact eigenvalues of its
+    necklace's least rotation."""
+    moduli = [np.abs(np.linalg.eigvals(m)) for m in mats]
+    spans = [float(np.log(v.max() / v.min())) for v in moduli]
+    for length in range(1, max_len + 1):
         words, lams, signs = stable_word_lambdas(mats, length)
         reps, inverse = schottky_dynamics._necklace_index(len(mats), length)
         for k, row in enumerate(reps):
@@ -108,6 +105,22 @@ def test_necklace_words_against_mpmath():
             members = inverse == k
             assert np.abs(lams[members] - lam).max() < 1e-8, word
             assert np.all(signs[members] == exact_signs), word
+
+
+def test_necklace_words_against_mpmath(words_triple):
+    # the benchmark's triple family
+    _check_necklaces_against_mpmath([L.g.entries for L in words_triple.generators], 7)
+
+
+def test_necklace_words_against_mpmath_in_sl4():
+    # n = 4 generators of condition number 3e3 and 8e3; the certified
+    # powers of test_limit_cone_in_sl4 reach 4e15, where forming one
+    # product already loses the smallest eigenvalue
+    mats = [
+        conjugated4(412, [4.0, 1.5, -1.5, -4.0]),
+        conjugated4(413, [5.0, 1.0, -2.0, -4.0], signs=(-1, 1, -1, 1)),
+    ]
+    _check_necklaces_against_mpmath(mats, 4)
 
 
 def test_stable_word_lambdas_sweeps_one_word_per_necklace(cone_family, monkeypatch):
@@ -128,6 +141,104 @@ def test_stable_word_lambdas_sweeps_one_word_per_necklace(cone_family, monkeypat
         rows = np.roll(words, -shift, axis=1) @ place
         assert np.array_equal(lams[rows], lams)
         assert np.array_equal(signs[rows], signs)
+
+
+@pytest.mark.parametrize("family, max_len", [("cone_family", 11), ("words_triple", 7)])
+def test_all_length_sweep_matches_one_length_sweeps(family, max_len, request):
+    fam = request.getfixturevalue(family)
+    mats = [L.g.entries for L in fam.generators]
+    sweep = list(schottky_dynamics._word_sweep(fam, max_len, Config()))
+    assert len(sweep) == max_len
+    for length, shared in enumerate(sweep, start=1):
+        alone = stable_word_lambdas(mats, length)
+        for got, want in zip(shared, alone):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), length
+
+
+def test_limit_cone_rays_do_not_depend_on_the_longest_length(cone_family):
+    short = limit_cone(cone_family, 6).rays.coords
+    long = limit_cone(cone_family, 11).rays.coords
+    assert len(short) == 126
+    assert short.tobytes() == long[:126].tobytes()
+
+
+def test_limit_cone_sweeps_all_lengths_in_one_qr_call_per_step(cone_family, monkeypatch):
+    batches = []
+    real = schottky_dynamics._batched_qr_positive
+
+    def counting(frames):
+        batches.append(len(frames))
+        return real(frames)
+
+    monkeypatch.setattr(schottky_dynamics, "_batched_qr_positive", counting)
+    limit_cone(cone_family, 11)
+    # 449 binary necklaces of lengths 1..11; length 11's schedule of
+    # (3 + 1) periods is the longest, 44 steps
+    assert batches == [449] * 44
+
+
+def _graded_stack(rng, n, size, max_cond):
+    """Random (size, n, n) stack U T D: U orthogonal, T unit upper
+    triangular, D a decreasing column scaling with condition number up to
+    max_cond."""
+    u = np.linalg.qr(rng.standard_normal((size, n, n)))[0]
+    t = np.eye(n) + np.triu(rng.uniform(-1.0, 1.0, (size, n, n)), 1)
+    cond = 10.0 ** rng.uniform(0.0, np.log10(max_cond), size)
+    cond[0] = max_cond
+    scale = cond[:, np.newaxis] ** -np.linspace(0.0, 1.0, n)
+    return u @ t * scale[:, np.newaxis, :]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("size", [1, 500])
+def test_batched_qr_kernel(n, size):
+    rng = np.random.default_rng(100 * n + size)
+    a = _graded_stack(rng, n, size, 1e12)
+    q, logs = schottky_dynamics._batched_qr_positive(a)
+    assert q.shape == a.shape and logs.shape == (size, n)
+    eps = np.finfo(float).eps
+    norm_a = np.linalg.norm(a, ord=2, axis=(1, 2))
+    orth = np.linalg.norm(np.swapaxes(q, 1, 2) @ q - np.eye(n), ord=2, axis=(1, 2))
+    assert np.all(orth <= 10 * n * eps)
+    r = np.swapaxes(q, 1, 2) @ a
+    lower = np.abs(np.tril(r, -1)).max(axis=(1, 2))
+    assert np.all(lower <= 10 * n * eps * norm_a)
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    assert np.all(diag > 0)
+    col_norms = np.linalg.norm(a, axis=1)
+    assert np.all(np.abs(diag - np.exp(logs)) <= 10 * n * eps * col_norms)
+    lapack = np.log(np.abs(np.diagonal(np.linalg.qr(a)[1], axis1=1, axis2=2)))
+    assert np.abs(logs - lapack).max() <= 1e-12
+
+
+def test_batched_qr_kernel_bits_do_not_depend_on_the_stack():
+    a = _graded_stack(np.random.default_rng(5), 3, 500, 1e12)
+    q, logs = schottky_dynamics._batched_qr_positive(a)
+    for rows in (slice(0, 1), slice(7, 9), slice(123, 311)):
+        q_part, logs_part = schottky_dynamics._batched_qr_positive(a[rows])
+        assert q_part.tobytes() == np.ascontiguousarray(q[rows]).tobytes()
+        assert logs_part.tobytes() == np.ascontiguousarray(logs[rows]).tobytes()
+
+
+def test_stalled_necklace_is_named_at_its_own_length():
+    # r's top two eigenvalues share the modulus e: a frame turns by theta
+    # per letter inside their plane and never converges, and its overlap
+    # over a word r^k is cos(k theta); theta / pi = sqrt(2) / 10 is
+    # irrational, with |cos(k theta)| >= 1/2 for k = 1, 2 and < 1/2 for k = 3
+    h = random_rotation(np.random.default_rng(7), 3)
+    block = np.zeros((3, 3))
+    block[:2, :2] = np.e * rotation2(np.pi * np.sqrt(2) / 10)
+    block[2, 2] = np.exp(-2.0)
+    mats = [conjugated(168, np.exp([7.0, 2.0, -9.0])), h @ block @ h.T]
+    message = r"^1 of 4 necklaces of length 3 have no converged attracting frame \(first: \(1, 1, 1\)\)$"
+    # rows of lengths 1..5 share the sweep, zero-padded to length 5
+    sweep = schottky_dynamics._necklace_sweep(mats, range(1, 6))
+    assert [len(words) for words, _, _ in itertools.islice(sweep, 2)] == [2, 4]
+    with pytest.raises(NotLoxodromic, match=message):
+        next(sweep)
+    with pytest.raises(NotLoxodromic, match=message):
+        stable_word_lambdas(mats, 3)
 
 
 def test_unit_rays_refuse_a_vanishing_jordan_projection():
@@ -220,10 +331,6 @@ def test_limit_cone_hull_contains_all_rays(cone_family):
 
 def test_limit_cone_in_sl4():
     # n = 4: the hull is taken by ConvexHull in the 3-D chamber coordinates
-    def conjugated4(seed, logs):
-        h = random_rotation(np.random.default_rng(seed), 4)
-        return project_to_sl(h @ np.diag(np.exp(logs)) @ h.T).entries
-
     fam = build_schottky(
         [conjugated4(412, [9.0, 3.0, -3.0, -9.0]), conjugated4(413, [10.0, 2.0, -4.0, -8.0])],
         0.12,
