@@ -144,15 +144,11 @@ def minor_margin(xi: Flag, xi_check: Flag) -> float:
     return float(np.min(np.abs(leading_minors(comparison_matrix(xi, xi_check).entries))))
 
 
-_DIRECTION_CACHE: dict = {}
-
-
+@functools.cache
 def _so_directions(n: int, mesh: int) -> np.ndarray:
-    """Deterministic unit-norm skew-symmetric directions; the first `mesh`
-    entries of a fixed stream, so refinements extend coarser meshes."""
-    cached = _DIRECTION_CACHE.get(n)
-    if cached is not None and len(cached) >= mesh:
-        return cached[:mesh]
+    """Deterministic unit-norm skew-symmetric directions, as one read-only
+    array per (n, mesh); the first `mesh` entries of a fixed stream, so
+    refinements extend coarser meshes."""
     dim = n * (n - 1) // 2
     rng = np.random.default_rng(20240229)
     dirs = []
@@ -172,11 +168,12 @@ def _so_directions(n: int, mesh: int) -> np.ndarray:
         x = sum(ci * bi for ci, bi in zip(c, basis))
         dirs.append(x)
     out = np.asarray(dirs[:mesh])
-    _DIRECTION_CACHE[n] = out
+    out.setflags(write=False)
     return out
 
 
 _EYE3 = np.eye(3)
+_EYE3.setflags(write=False)
 
 
 def _rotation(direction: np.ndarray, t: float) -> np.ndarray:

@@ -10,6 +10,7 @@ bitwise identical.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,20 +150,14 @@ class SignVector:
         return SignVector((1,) * n)
 
 
-_SIGN_VECTOR_CACHE: dict = {}
-
-
-def sign_vectors(n: int):
+@functools.cache
+def sign_vectors(n: int) -> tuple:
     """All 2^(n-1) sign vectors with product +1, in a fixed order."""
-    cached = _SIGN_VECTOR_CACHE.get(n)
-    if cached is not None:
-        return cached
     out = []
     for bits in range(1 << (n - 1)):
         head = tuple(-1 if (bits >> i) & 1 else 1 for i in range(n - 1))
         out.append(SignVector(head + (int(np.prod(head)),)))
-    _SIGN_VECTOR_CACHE[n] = out
-    return out
+    return tuple(out)
 
 
 @dataclass(frozen=True)

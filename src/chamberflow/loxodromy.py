@@ -398,27 +398,22 @@ def product_estimate(
     d_minus = flag_distance(prod_data.repelling, family[0].repelling)
 
     # beta chain: L_{s_l}(g_l^{n_l}) R_{s_l,s_{l-1}}(g_l, g_{l-1}+) ...
-    #             L_{s_1}(g_1^{n_1}) R_{s_1,s_0}(g_1, xi0)
-    chain = AMElement.identity(prod.n)
+    #             L_{s_1}(g_1^{n_1}) R_{s_1,s_0}(g_1, xi0);
+    # the extended-Jordan chain shares every factor but the closing ratio,
+    # which is R_{s_1,s_l}(g_1, g_l+)
+    chain = lox_chain = AMElement.identity(prod.n)
     for i in range(l, 0, -1):
         gi = family[i - 1]
         si = sections[i]
         term = extended_jordan(si, gi, config) ** powers[i - 1]
-        chain = chain * term
-        anchor = xi0 if i == 1 else family[i - 2].attracting
-        chain = chain * ratio_at(si, sections[i - 1], gi, anchor, config)
+        chain, lox_chain = chain * term, lox_chain * term
+        if i > 1:
+            ratio = ratio_at(si, sections[i - 1], gi, family[i - 2].attracting, config)
+            chain, lox_chain = chain * ratio, lox_chain * ratio
+    chain = chain * ratio_at(sections[1], sections[0], family[0], xi0, config)
     beta_lhs = cocycle(sections[l], sections[0], prod, xi0, config)
     beta_distance = am_distance(beta_lhs, chain)
-    # extended-Jordan chain: same, with the closing ratio R_{s_1,s_l}(g_1, g_l+)
-    lox_chain = AMElement.identity(prod.n)
-    for i in range(l, 0, -1):
-        gi = family[i - 1]
-        si = sections[i]
-        lox_chain = lox_chain * (extended_jordan(si, gi, config) ** powers[i - 1])
-        if i > 1:
-            lox_chain = lox_chain * ratio_at(si, sections[i - 1], gi, family[i - 2].attracting, config)
-        else:
-            lox_chain = lox_chain * ratio_at(si, sections[l], gi, family[-1].attracting, config)
+    lox_chain = lox_chain * ratio_at(sections[1], sections[l], family[0], family[-1].attracting, config)
     lox_lhs = extended_jordan(sections[l], prod_data, config)
     lox_distance = am_distance(lox_lhs, lox_chain)
     return EstimateReport(

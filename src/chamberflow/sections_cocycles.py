@@ -28,9 +28,8 @@ from .linalg_core import (
     _row_norms,
     bruhat_lu,
     iwasawa_kan,
-    leading_minors,
 )
-from .flag_boundary import Flag, act, flag_of, k_iota
+from .flag_boundary import Flag, act, flag_of, k_iota, minor_margin
 
 
 @dataclass(frozen=True)
@@ -249,8 +248,7 @@ def best_section(family: list, xi: Flag) -> Section:
     """The family member whose chart holds xi with the largest minor margin."""
     best, best_margin = None, -1.0
     for s in family:
-        mat = k_iota(xi.n) @ s.base.rep.T @ xi.rep
-        margin = float(np.min(np.abs(leading_minors(mat))))
+        margin = minor_margin(xi, s.base)
         if margin > best_margin:
             best, best_margin = s, margin
     return best

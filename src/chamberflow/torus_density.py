@@ -11,6 +11,8 @@ keeps, per delta/4 grid cell not yet in a set of exact integer cell keys,
 the first point in (frontier index, step index) order, which is the
 first-visit order of a node-by-node BFS.  A step moves one coefficient by
 +-1, so the coefficient bound is tested only past level coeff_bound.
+Both check their grid centres with one KD-tree query, _coverage.  A
+certificate keeps the BFS output and the centres as read-only arrays.
 verify_certificate replays a certificate in arrays, one V-slice of cell
 centres at a time, and checks that every recorded point is the combination
 of the subset its coefficients claim, within the limits of the
@@ -59,16 +61,24 @@ class TorusPoint:
 
 @dataclass(frozen=True)
 class DensityCertificate:
+    """points, coeffs and centers are read-only arrays, frozen here."""
+
     delta: float
     subset: tuple
     grid_step: float
     coeff_bound: int
     covered: bool
     kind: str                                 # "group" (select) or "semigroup" (cone)
+    points: np.ndarray                        # (N, d + k) [v | c] rows backing the certificate
+    coeffs: np.ndarray                        # (N, len(subset)) integer coefficients of those rows
+    centers: np.ndarray                       # (M, d + k) grid cell centers the flag certifies
     uncovered_farthest: tuple | None = None   # (cell center, distance) when not covered
-    points: tuple = ()                        # generated points backing the certificate
-    coeffs: tuple = ()                        # integer coefficient vectors of those points
-    centers: tuple = ()                       # the grid cell centers the flag certifies
+
+    def __post_init__(self):
+        for name in ("points", "coeffs", "centers"):
+            arr = np.asarray(getattr(self, name))
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 def _build_tree(points: np.ndarray, k: int):
@@ -96,10 +106,10 @@ def _grid_centers(window: np.ndarray, k: int, step: float):
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _coverage(points: np.ndarray, k: int, window: np.ndarray, delta: float, step: float):
-    """(covered, farthest (center, distance)) of the window x torus grid."""
+def _coverage(points: np.ndarray, k: int, centers: np.ndarray, delta: float):
+    """(covered, farthest (center, distance)): is every center within delta of
+    a point, on the torus-replicated KD-tree of the [v | c] rows?"""
     tree, _ = _build_tree(points, k)
-    centers = _grid_centers(window, k, step)
     dists, _ = tree.query(centers)
     worst = int(np.argmax(dists))
     covered = bool(dists[worst] <= delta)
@@ -167,11 +177,6 @@ def _common_shape(points: list) -> tuple:
     return shapes[0]
 
 
-def _point_tuples(points: np.ndarray, d: int) -> tuple:
-    """Certificate form of [v | c] rows: one (v, c) pair of tuples per row."""
-    return tuple((tuple(p[:d]), tuple(p[d:])) for p in points.tolist())
-
-
 def _greedy_v_basis(E: list, d: int) -> list:
     """Indices of <= d elements maximizing the spanned volume of the V-parts."""
     chosen = []
@@ -206,10 +211,11 @@ def select_dense_subgroup_generators(
     limit = 3 * d + 2 * k
     subset_idx = _greedy_v_basis(E, d)
     remaining = [i for i in range(len(E)) if i not in subset_idx]
+    centers = _grid_centers(window, k, step)
 
     def covered_with(indices):
         pts, coeffs = _generated_group([E[i] for i in indices], window, k, delta, COEFF_BOUND)
-        ok, far = _coverage(pts, k, window, delta, step)
+        ok, far = _coverage(pts, k, centers, delta)
         return ok, far, pts, coeffs
 
     ok, far, pts, coeffs = covered_with(subset_idx)
@@ -234,10 +240,10 @@ def select_dense_subgroup_generators(
         coeff_bound=COEFF_BOUND,
         covered=ok,
         kind="group",
+        points=pts,
+        coeffs=coeffs,
+        centers=centers,
         uncovered_farthest=None if ok else far,
-        points=_point_tuples(pts, d),
-        coeffs=tuple(map(tuple, coeffs.tolist())),
-        centers=tuple(map(tuple, _grid_centers(window, k, step).tolist())),
     )
     if not ok:
         raise NotDenseAtBudget(
@@ -278,7 +284,7 @@ def _provenance_holds(cert: DensityCertificate, pv: np.ndarray, pc: np.ndarray) 
         return True
     sv = np.asarray([p.v for p in cert.subset]).reshape(-1, d)
     sc = np.asarray([p.c for p in cert.subset]).reshape(len(sv), -1)
-    coeffs = np.asarray(cert.coeffs, dtype=float).reshape(n, len(sv))
+    coeffs = np.asarray(cert.coeffs, dtype=float)
     if np.abs(coeffs).max(initial=0.0) > cert.coeff_bound:
         return False
     if cert.kind == "semigroup" and coeffs.min(initial=0.0) < 0:
@@ -307,13 +313,10 @@ def verify_certificate(cert: DensityCertificate) -> bool:
     witness, so each slice compares its centres with only the points within
     delta of it in V.
     """
-    d, k = cert.subset[0].d, cert.subset[0].k
-    n = len(cert.points)
-    pv = np.asarray([v for v, _ in cert.points], dtype=float).reshape(n, d)
-    pc = np.asarray([c for _, c in cert.points], dtype=float).reshape(n, k)
+    d = cert.subset[0].d
+    pv, pc, centers = cert.points[:, :d], cert.points[:, d:], cert.centers
     if not _provenance_holds(cert, pv, pc):
         return False
-    centers = np.asarray(cert.centers, dtype=float).reshape(len(cert.centers), d + k)
     parts, slice_of = np.unique(centers[:, :d], axis=0, return_inverse=True)
     slice_of = slice_of.reshape(-1)   # numpy 2.0.0 shapes it (n, 1)
     for i, u in enumerate(parts):
@@ -406,10 +409,7 @@ def semigroup_cone_density(
         keep = centers[inside[part_of.reshape(-1)]]
         if not len(keep):
             raise NotDenseAtBudget("window does not meet the translated cone")
-        tree2, _ = _build_tree(semi_pts, k)
-        dists, _ = tree2.query(keep)
-        worst = int(np.argmax(dists))
-        covered = bool(dists[worst] <= delta)
+        covered, far = _coverage(semi_pts, k, keep, delta)
         if covered or 2 * h_coeff * max(np.abs(vf_dirs).sum(axis=0).max(), 1.0) > COEFF_BOUND:
             break
         h_coeff *= 2
@@ -420,15 +420,13 @@ def semigroup_cone_density(
         coeff_bound=COEFF_BOUND,
         covered=covered,
         kind="semigroup",
-        uncovered_farthest=None if covered else (tuple(keep[worst].tolist()), float(dists[worst])),
-        points=_point_tuples(semi_pts, d),
-        coeffs=tuple(map(tuple, semi_coeffs.tolist())),
-        centers=tuple(map(tuple, keep.tolist())),
+        points=semi_pts,
+        coeffs=semi_coeffs,
+        centers=keep,
+        uncovered_farthest=None if covered else far,
     )
     if not covered:
-        raise NotDenseAtBudget(
-            f"semigroup covering failed at distance {dists[worst]:.4f}", cert
-        )
+        raise NotDenseAtBudget(f"semigroup covering failed at distance {far[1]:.4f}", cert)
     return v_f, cert
 
 

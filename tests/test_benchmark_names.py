@@ -9,10 +9,17 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from chamberflow import schottky_dynamics
 from chamberflow.schottky_dynamics import limit_cone, stable_word_lambdas
-from chamberflow.torus_density import TorusPoint, _generated_group
+from chamberflow.errors import NotDenseAtBudget
+from chamberflow.torus_density import (
+    TorusPoint,
+    _generated_group,
+    select_dense_subgroup_generators,
+    semigroup_cone_density,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = ROOT / "BENCHMARK.json"
@@ -54,6 +61,24 @@ def test_generated_group_returns_equal_length_points_and_coeffs():
     gens = [TorusPoint([1.0], [0.0]), TorusPoint([np.sqrt(2.0)], [0.5])]
     points, coeffs = _generated_group(gens, np.array([[-1.0, 1.0]]), 1, 0.1, 1000)
     assert len(points) == len(coeffs) > 1
+
+
+def test_density_certificates_support_the_density_reads():
+    # the density check reads cert.covered and len(cert.centers), its
+    # fingerprint len(cert.points), and a refusal's certificate is read as
+    # NotDenseAtBudget.certificate
+    pair = [TorusPoint([1.0], [0.0]), TorusPoint([np.sqrt(2.0)], [(np.sqrt(5.0) - 1.0) / 2.0])]
+    certs = [
+        select_dense_subgroup_generators(pair, 0.1, [(-1.0, 1.0)]),
+        semigroup_cone_density(pair, 0.1, [(0.0, 3.0)])[1],
+    ]
+    with pytest.raises(NotDenseAtBudget) as exc:
+        select_dense_subgroup_generators([TorusPoint([1.0], [0.0])], 0.1, [(-1.0, 1.0)])
+    certs.append(exc.value.certificate)
+    assert [cert.covered for cert in certs] == [True, True, False]
+    for cert in certs:
+        assert isinstance(cert.covered, bool)
+        assert len(cert.points) > 1 and len(cert.centers) > 1
 
 
 def test_stable_word_lambdas_returns_one_row_per_word(cone_family):

@@ -1,8 +1,10 @@
 """Static checks, by the standard-library ast only: every name a module of
 chamberflow imports is referenced in that module (the package __init__ is
 exempt, since its imports are the re-exported API), every private
-top-level function or class is used somewhere in the library, and the
-library reads no NumPy name that NumPy 1.24, the declared floor, lacks."""
+top-level function or class is used somewhere in the library, no
+module-level name is bound to a mutable dict, list or set (caches go
+through functools.cache), and the library reads no NumPy name that
+NumPy 1.24, the declared floor, lacks."""
 
 import ast
 from pathlib import Path
@@ -81,6 +83,53 @@ def test_the_check_sees_a_dead_private_helper():
         "b": ast.parse("from a import _used, _recursive\nimport a\n\nclass _Unused:\n    pass\n\nprint(a._used)\n"),
     }
     assert _dead_private_helpers(trees) == ["a._recursive", "b._Unused"]
+
+
+MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+
+
+def _is_mutable_container(value):
+    """A dict, list or set display or comprehension, or a dict()/list()/set() call."""
+    if isinstance(value, MUTABLE_DISPLAYS):
+        return True
+    return isinstance(value, ast.Call) and isinstance(value.func, ast.Name) and value.func.id in {"dict", "list", "set"}
+
+
+def _module_level_containers(tree):
+    """Names bound to a mutable container outside any function or class body."""
+    found = []
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if node.value is not None and _is_mutable_container(node.value):
+                found += [f"{t.id} (line {node.lineno})" for t in targets if isinstance(t, ast.Name)]
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            # module-level if/try/with/for blocks still bind module names
+            stack.extend(child for child in ast.iter_child_nodes(node) if isinstance(child, ast.stmt))
+    return sorted(found)
+
+
+def test_no_module_level_mutable_container():
+    offenders = {
+        path.name: names
+        for path in sorted(SRC.glob("*.py"))
+        for names in [_module_level_containers(ast.parse(path.read_text()))]
+        if names
+    }
+    assert offenders == {}
+
+
+def test_the_check_sees_a_module_level_container():
+    tree = ast.parse(
+        "A = {}\nB: list = []\nC = set()\nD = (1, 2)\nE = frozenset()\n"
+        "try:\n    F = dict(a=1)\nexcept ImportError:\n    F = None\n"
+        "G = {i: i for i in range(3)}\n"
+        "def f():\n    local = []\n    return local\n"
+        "class K:\n    attr = []\n"
+    )
+    assert _module_level_containers(tree) == ["A (line 1)", "B (line 2)", "C (line 3)", "F (line 7)", "G (line 10)"]
 
 
 # names NumPy added in 2.0, at the top level and in numpy.linalg

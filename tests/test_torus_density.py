@@ -102,8 +102,8 @@ def test_cone_certificate_points_are_semigroup_witnesses():
     f = [TorusPoint([1.0], [0.0]), TorusPoint([np.sqrt(2)], [GOLDEN])]
     v, cert = semigroup_cone_density(f, 0.1, [(0.0, 3.0)])
     assert cert.covered
-    pts = np.asarray([p[0] for p in cert.points])
-    coeffs = np.asarray(cert.coeffs)
+    pts = cert.points[:, :1]
+    coeffs = cert.coeffs
     assert np.all(coeffs >= 0)
     fv = np.asarray([p.v for p in f])
     rng = np.random.default_rng(0)
@@ -245,10 +245,9 @@ def test_density_inputs_must_share_one_shape(call):
 
 def _all_pairs_replay(cert):
     """Reference: every certified centre against every recorded point, one centre at a time."""
-    k, d = cert.subset[0].k, cert.subset[0].d
-    pv = np.asarray([v for v, _ in cert.points], dtype=float)
-    pc = np.asarray([c for _, c in cert.points], dtype=float).reshape(len(cert.points), k)
-    for center in np.asarray(cert.centers, dtype=float):
+    d = cert.subset[0].d
+    pv, pc = cert.points[:, :d], cert.points[:, d:]
+    for center in cert.centers:
         dv2 = ((pv - center[:d]) ** 2).sum(axis=1)
         wrap = np.abs(pc - center[d:]) % 1.0
         dc2 = (np.minimum(wrap, 1.0 - wrap) ** 2).sum(axis=1)
@@ -309,8 +308,39 @@ def test_cone_membership_runs_once_per_v_part(monkeypatch):
     assert len(calls) < sum(len(g) for g in grids)
     # the centres kept are those of a per-centre membership test on the last grid
     vf_dirs = np.array([f.v for f in PLANAR]).T
-    expected = [tuple(c) for c in grids[-1].tolist() if _cone_membership(vf_dirs, np.asarray(c[:d]) - v_f)]
-    assert cert.centers == tuple(expected)
+    expected = [c for c in grids[-1] if _cone_membership(vf_dirs, c[:d] - v_f)]
+    assert np.array_equal(cert.centers, np.array(expected))
+
+
+def test_select_builds_its_grid_once(monkeypatch):
+    grids, groups = [], []
+    grid_centers, generated_group = torus_density._grid_centers, torus_density._generated_group
+
+    def recorded_grid(*args):
+        grids.append(grid_centers(*args))
+        return grids[-1]
+
+    def recorded_group(*args):
+        groups.append(generated_group(*args))
+        return groups[-1]
+
+    monkeypatch.setattr(torus_density, "_grid_centers", recorded_grid)
+    monkeypatch.setattr(torus_density, "_generated_group", recorded_group)
+    cert = select_dense_subgroup_generators(CIRCLE, 0.1, [(-1.0, 1.0)])
+    assert len(groups) > 1   # the greedy step ran trials
+    assert len(grids) == 1 and cert.centers is grids[0]
+
+
+@pytest.mark.parametrize("name", ["pair-select", "planar-d2-k1"])
+def test_certificate_arrays_are_read_only(name):
+    cert = _certificate(name)
+    d, k = cert.subset[0].d, cert.subset[0].k
+    assert cert.points.shape == (len(cert.coeffs), d + k)
+    assert cert.coeffs.shape == (len(cert.points), len(cert.subset))
+    assert cert.centers.shape[1] == d + k
+    for arr in (cert.points, cert.coeffs, cert.centers):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
 
 
 def test_refused_certificate_does_not_replay():
@@ -320,30 +350,34 @@ def test_refused_certificate_does_not_replay():
 
 
 def _shift_point(cert, i, dv, dc):
-    v, c = cert.points[i]
-    moved = (tuple(x + dv for x in v), tuple((x + dc) % 1.0 for x in c))
-    return dataclasses.replace(cert, points=cert.points[:i] + (moved,) + cert.points[i + 1 :])
+    d = cert.subset[0].d
+    points = cert.points.copy()
+    points[i, :d] += dv
+    points[i, d:] = (points[i, d:] + dc) % 1.0
+    return dataclasses.replace(cert, points=points)
 
 
 def _change_coeff(cert, i):
-    coeff = (cert.coeffs[i][0] + 1,) + cert.coeffs[i][1:]
-    return dataclasses.replace(cert, coeffs=cert.coeffs[:i] + (coeff,) + cert.coeffs[i + 1 :])
+    coeffs = cert.coeffs.copy()
+    coeffs[i, 0] += 1
+    return dataclasses.replace(cert, coeffs=coeffs)
 
 
 def _negative_in_semigroup(cert, i):
     """A semigroup certificate whose point i is written with one more copy of
     subset[0], at coefficient -1: the combination still holds."""
-    coeffs = [c + (0,) for c in cert.coeffs]
-    coeffs[i] = (coeffs[i][0] + 1,) + coeffs[i][1:-1] + (-1,)
+    coeffs = np.pad(cert.coeffs, ((0, 0), (0, 1)))
+    coeffs[i, 0] += 1
+    coeffs[i, -1] = -1
     subset = cert.subset + cert.subset[:1]
-    return dataclasses.replace(cert, kind="semigroup", subset=subset, coeffs=tuple(coeffs))
+    return dataclasses.replace(cert, kind="semigroup", subset=subset, coeffs=coeffs)
 
 
 def _too_many_generators(cert, i):
     """A group certificate padded to 3d + 2k + 1 generators at coefficient 0."""
     p = cert.subset[0]
     extra = 3 * p.d + 2 * p.k + 1 - len(cert.subset)
-    coeffs = tuple(c + (0,) * extra for c in cert.coeffs)
+    coeffs = np.pad(cert.coeffs, ((0, 0), (0, extra)))
     return dataclasses.replace(cert, kind="group", subset=cert.subset + (p,) * extra, coeffs=coeffs)
 
 
