@@ -176,16 +176,28 @@ _EYE3 = np.eye(3)
 _EYE3.setflags(write=False)
 
 
+def _rotations(directions: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """exp(t * X) for each skew-symmetric direction X of an (N, n, n) stack
+    and angle t of an (N,) array: Rodrigues at n = 3, one stacked
+    scipy.linalg.expm call otherwise."""
+    if directions.shape[-1] != 3:
+        return scipy.linalg.expm(angles[:, np.newaxis, np.newaxis] * directions)
+    theta = angles * np.sqrt(0.5 * (directions * directions).reshape(-1, 9).sum(axis=1))
+    still = theta == 0.0
+    k = directions * (angles / np.where(still, 1.0, theta))[:, np.newaxis, np.newaxis]
+    out = (
+        _EYE3
+        + np.sin(theta)[:, np.newaxis, np.newaxis] * k
+        + (1.0 - np.cos(theta))[:, np.newaxis, np.newaxis] * (k @ k)
+    )
+    out[still] = _EYE3
+    return out
+
+
 def _rotation(direction: np.ndarray, t: float) -> np.ndarray:
-    """exp(t * direction) for a skew-symmetric direction (Rodrigues for n = 3)."""
-    n = direction.shape[0]
-    if n == 3:
-        theta = t * float(np.sqrt(0.5 * (direction * direction).sum()))
-        if theta == 0.0:
-            return _EYE3.copy()
-        k = direction * (t / theta)
-        return _EYE3 + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k)
-    return scipy.linalg.expm(t * direction)
+    """exp(t * direction) for one skew-symmetric direction: the N = 1 case
+    of _rotations."""
+    return _rotations(direction[np.newaxis], np.asarray([t]))[0]
 
 
 def boundary_margins(reps: np.ndarray, xi_check: Flag, config: Config = DEFAULT_CONFIG) -> np.ndarray:

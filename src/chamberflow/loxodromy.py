@@ -42,6 +42,7 @@ from .flag_boundary import (
     is_transverse,
     k_iota,
     _rotation,
+    _rotations,
     _so_directions,
 )
 from .sections_cocycles import (
@@ -274,7 +275,7 @@ def _sample_k_r(rng: np.random.Generator, n: int, r: float) -> np.ndarray:
     return _rotation(direction, r * rng.uniform(0.0, 0.5))
 
 
-DRAW_BLOCK = 8   # draws delta_r_eps tests at once (at n = 3, r = 0.15, about half pass)
+DRAW_CAP = 1024   # most xi1 draws delta_r_eps tests at once, so its memory stays bounded
 
 
 def delta_r_eps(
@@ -289,51 +290,56 @@ def delta_r_eps(
     sup of d_AM(R_s(xi_check; xi1, xi2), e) over sections s in
     K_r . k(xi_check), xi1 at distance >= 3r from the cell boundary, and
     xi2 in B(xi1, eps). Deterministic at fixed seed; raises BudgetExceeded
-    if fewer than mc_samples of 100 * mc_samples draws are usable."""
+    if fewer than mc_samples of 100 * mc_samples draws are usable.
+
+    The K_r pool comes from default_rng(seed); then SeedSequence(seed)
+    spawns two streams, read forward only. The xi1 stream gives one (n, n)
+    Gaussian per try, the xi2 stream one random(2) (u0, u1) per xi1 that
+    passes the 3r margin: xi2 rotates xi1 along dirs[floor(u0 len(dirs))]
+    by eps (0.2 + 0.8 u1). Block draws equal per-sample draws, so the
+    estimate is that of a loop drawing one sample at a time."""
     if not (0 < eps <= r):
         raise ValueError("delta_r_eps requires 0 < eps <= r")
+    if not isinstance(mc_samples, (int, np.integer)) or mc_samples < 1:
+        raise ValueError(f"delta_r_eps requires an integer mc_samples >= 1, not {mc_samples!r}")
+    if n < 2:
+        raise ValueError(f"delta_r_eps requires n >= 2, not {n}")
     rng = np.random.default_rng(seed)
     check = Flag(k_iota(n))
     pool = np.asarray([_sample_k_r(rng, n, r) for _ in range(min(16, max(4, mc_samples // 64)))])
+    gauss, pert = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
     dirs = _so_directions(n, 2 * (n * (n - 1) // 2))
+    budget = 100 * mc_samples
     worst = 0.0
     accepted = 0
-    tries = 0
-    # pairs (xi1, xi2 before canonicalisation) drawn but not yet evaluated
-    queue1, queue2 = [], []
+    drawn = 0
+    # xi1 draws that passed the margin but are not paired yet, and the pairs
+    # (xi1, xi2 before canonicalisation) not yet evaluated
+    spare = queue1 = queue2 = np.empty((0, n, n))
     while accepted < mc_samples:
-        while accepted + len(queue1) < mc_samples and tries < 100 * mc_samples:
-            # test a block of coming draws at once, then rewind the stream and
-            # draw again up to the first that passes: the stream stays that of
-            # one (n, n) draw per try
-            state = rng.bit_generator.state
-            size = min(DRAW_BLOCK, 100 * mc_samples - tries)
-            reps = canonicalize_rep(_random_rotations(rng, n, size))
-            passed = np.flatnonzero(boundary_margins(reps, check, config) >= 3 * r)
-            if not passed.size:
-                tries += size
-                continue
-            first = int(passed[0])
-            tries += first + 1
-            rng.bit_generator.state = state
-            rng.standard_normal((first + 1, n, n))
-            # xi2 at distance < eps from xi1: a rotation by t <= eps along a unit
-            # coordinate direction moves a flag by sqrt(8) sin(t / (2 sqrt 2)) < t
-            direction = dirs[rng.integers(len(dirs))]
-            t = eps * rng.uniform(0.2, 1.0)
-            queue1.append(reps[first])
-            queue2.append(_rotation(direction, t) @ reps[first])
-        if not queue1:
+        need = mc_samples - accepted - len(queue1)
+        while len(spare) < need and drawn < budget:
+            size = min(DRAW_CAP, max(8, 2 * (need - len(spare))), budget - drawn)
+            reps = canonicalize_rep(_random_rotations(gauss, n, size))
+            drawn += size
+            spare = np.concatenate([spare, reps[boundary_margins(reps, check, config) >= 3 * r]])
+        fresh, spare = spare[:need], spare[need:]
+        # xi2 at distance < eps from xi1: a rotation by t <= eps along a unit
+        # coordinate direction moves a flag by sqrt(8) sin(t / (2 sqrt 2)) < t
+        u = pert.random((len(fresh), 2))
+        turns = _rotations(dirs[(u[:, 0] * len(dirs)).astype(np.intp)], eps * (0.2 + 0.8 * u[:, 1]))
+        queue1 = np.concatenate([queue1, fresh])
+        queue2 = np.concatenate([queue2, turns @ fresh])
+        if not len(queue1):
+            # every draw is tested, so the budget is spent: drawn == budget
             raise BudgetExceeded(
-                f"delta_r_eps accepted {accepted} of {tries} draws, short of {mc_samples}"
+                f"delta_r_eps accepted {accepted} of {drawn} draws, short of {mc_samples}"
             )
         # queued pair i takes pool[(accepted + i) % len(pool)], as it does
         # when the pairs before it are accepted
         h = pool[(accepted + np.arange(len(queue1))) % len(pool)]
         s = Section("compact", check, AMElement.identity(n), h)
-        a, signs, inside = ratios(
-            s, s, check, np.asarray(queue1), canonicalize_rep(np.asarray(queue2)), config
-        )
+        a, signs, inside = ratios(s, s, check, queue1, canonicalize_rep(queue2), config)
         # the pairs before the first one out of domain are accepted; that one
         # is dropped, and the rest are evaluated again with the pool shifted
         good = len(inside) if inside.all() else int(np.argmin(inside))
@@ -342,7 +348,7 @@ def delta_r_eps(
         if len(a):
             worst = max(worst, float(np.max(_row_norms(a))))
         accepted += good
-        del queue1[: good + 1], queue2[: good + 1]
+        queue1, queue2 = queue1[good + 1:], queue2[good + 1:]
     return worst
 
 

@@ -69,6 +69,7 @@ class DensityCertificate:
     coeff_bound: int
     covered: bool
     kind: str                                 # "group" (select) or "semigroup" (cone)
+    d: int                                    # dimension of V: [v | c] rows split at column d
     points: np.ndarray                        # (N, d + k) [v | c] rows backing the certificate
     coeffs: np.ndarray                        # (N, len(subset)) integer coefficients of those rows
     centers: np.ndarray                       # (M, d + k) grid cell centers the flag certifies
@@ -240,6 +241,7 @@ def select_dense_subgroup_generators(
         coeff_bound=COEFF_BOUND,
         covered=ok,
         kind="group",
+        d=d,
         points=pts,
         coeffs=coeffs,
         centers=centers,
@@ -283,7 +285,7 @@ def _provenance_holds(cert: DensityCertificate, pv: np.ndarray, pc: np.ndarray) 
     if n == 0:
         return True
     sv = np.asarray([p.v for p in cert.subset]).reshape(-1, d)
-    sc = np.asarray([p.c for p in cert.subset]).reshape(len(sv), -1)
+    sc = np.asarray([p.c for p in cert.subset]).reshape(len(sv), pc.shape[1])
     coeffs = np.asarray(cert.coeffs, dtype=float)
     if np.abs(coeffs).max(initial=0.0) > cert.coeff_bound:
         return False
@@ -313,7 +315,7 @@ def verify_certificate(cert: DensityCertificate) -> bool:
     witness, so each slice compares its centres with only the points within
     delta of it in V.
     """
-    d = cert.subset[0].d
+    d = cert.d
     pv, pc, centers = cert.points[:, :d], cert.points[:, d:], cert.centers
     if not _provenance_holds(cert, pv, pc):
         return False
@@ -420,6 +422,7 @@ def semigroup_cone_density(
         coeff_bound=COEFF_BOUND,
         covered=covered,
         kind="semigroup",
+        d=d,
         points=semi_pts,
         coeffs=semi_coeffs,
         centers=keep,

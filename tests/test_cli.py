@@ -82,6 +82,17 @@ def test_density_subcommands(workdir):
     assert json.loads(out.read_text())["kind"] == "semigroup"
 
 
+def test_density_select_reports_an_empty_subset(workdir):
+    path = workdir / "origin.json"
+    path.write_text(json.dumps({"points": [{"v": [0.0], "c": []}]}))
+    out = workdir / "d.json"
+    assert _run(["density", "select", "--input", str(path), "--delta", "1.0", "--window", "0,0"], out) == 0
+    report = json.loads(out.read_text())
+    assert report["covered"] is True
+    assert report["replayed"] is True
+    assert report["subset_size"] == 0
+
+
 @pytest.mark.parametrize("variant", ["select", "cone"])
 @pytest.mark.parametrize(
     "points",

@@ -21,6 +21,9 @@ from chamberflow.flag_boundary import (
     minor_margin,
     opposite_flag,
     standard_flag,
+    _rotation,
+    _rotations,
+    _so_directions,
 )
 from chamberflow.linalg_core import GroupElement, random_group_element, random_rotation
 
@@ -262,3 +265,20 @@ def test_stacked_canonical_reps_match_the_per_frame_loop(n):
     for frame, got in zip(frames, stacked):
         assert np.array_equal(got, _reference_canonical(frame))
         assert np.array_equal(canonicalize_rep(frame), got)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stacked_rotations_match_one_at_a_time(n):
+    rng = np.random.default_rng(n)
+    dirs = _so_directions(n, 3 * n * (n - 1))
+    directions = dirs[rng.integers(len(dirs), size=40)]
+    angles = rng.uniform(-1.0, 1.0, size=40)
+    angles[[0, 17]] = 0.0
+    turns = _rotations(directions, angles)
+    one_at_a_time = np.asarray([_rotation(x, t) for x, t in zip(directions, angles)])
+    assert turns.tobytes() == one_at_a_time.tobytes()
+    assert (turns[[0, 17]] == np.eye(n)).all()
+    assert np.abs(np.swapaxes(turns, 1, 2) @ turns - np.eye(n)).max() < 1e-14
+    assert np.linalg.det(turns) == pytest.approx(np.ones(40), abs=1e-14)
+    expm = np.asarray([scipy.linalg.expm(t * x) for x, t in zip(directions, angles)])
+    assert np.abs(turns - expm).max() < 1e-14

@@ -3,8 +3,9 @@ chamberflow imports is referenced in that module (the package __init__ is
 exempt, since its imports are the re-exported API), every private
 top-level function or class is used somewhere in the library, no
 module-level name is bound to a mutable dict, list or set (caches go
-through functools.cache), and the library reads no NumPy name that
-NumPy 1.24, the declared floor, lacks."""
+through functools.cache), the library reads no NumPy name that
+NumPy 1.24, the declared floor, lacks, and no random stream is rewound
+by assigning its bit generator's state."""
 
 import ast
 from pathlib import Path
@@ -175,3 +176,36 @@ def test_no_numpy_2_only_names():
 def test_the_check_sees_a_numpy_2_name():
     tree = ast.parse("np.sqrt(np.vecdot(a, a))\nnp.linalg.vector_norm(a)\nnp.trace(a)\n")
     assert _numpy_2_names(tree) == ["linalg.vector_norm (line 2)", "np.vecdot (line 1)"]
+
+
+def _stream_rewinds(tree):
+    """Lines that assign to some_generator.bit_generator.state."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and node.attr == "state"
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "bit_generator"
+    )
+
+
+def test_no_module_rewinds_a_random_stream():
+    offenders = {
+        path.name: lines
+        for path in sorted(SRC.glob("*.py"))
+        for lines in [_stream_rewinds(ast.parse(path.read_text()))]
+        if lines
+    }
+    assert offenders == {}
+
+
+def test_the_check_sees_a_stream_rewind():
+    tree = ast.parse(
+        "saved = rng.bit_generator.state\n"
+        "rng.bit_generator.state = saved\n"
+        "a, self.rng.bit_generator.state = 1, saved\n"
+        "rng.state = saved\n"
+    )
+    assert _stream_rewinds(tree) == [2, 3]

@@ -209,12 +209,13 @@ def test_product_estimate_refuses_products_out_of_range(sl3_triple):
 
 
 def _reference_delta(r, eps, mc_samples, seed, n, config=DEFAULT_CONFIG):
-    """The per-sample delta_r_eps loop on Flag objects that the stacked one
-    replaced; returns (estimate, pairs out of domain)."""
+    """delta_r_eps as a loop over Flag objects that draws one sample at a
+    time from the same streams; returns (estimate, pairs out of domain)."""
     rng = np.random.default_rng(seed)
     check = Flag(k_iota(n))
     identity = AMElement.identity(n)
     pool = [_sample_k_r(rng, n, r) for _ in range(min(16, max(4, mc_samples // 64)))]
+    gauss, pert = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
     dirs = _so_directions(n, 2 * (n * (n - 1) // 2))
     worst, accepted, tries, dropped = 0.0, 0, 0, 0
     while accepted < mc_samples:
@@ -223,12 +224,13 @@ def _reference_delta(r, eps, mc_samples, seed, n, config=DEFAULT_CONFIG):
                 f"delta_r_eps accepted {accepted} of {tries} draws, short of {mc_samples}"
             )
         tries += 1
-        xi1 = Flag(random_rotation(rng, n))
+        xi1 = Flag(random_rotation(gauss, n))
         if boundary_margin_estimate(xi1, check, config=config) < 3 * r:
             continue
         s = Section("compact", check, identity, pool[accepted % len(pool)])
-        direction = dirs[rng.integers(len(dirs))]
-        xi2 = Flag(_rotation(direction, eps * rng.uniform(0.2, 1.0)) @ xi1.rep)
+        u = pert.random(2)
+        direction = dirs[int(u[0] * len(dirs))]
+        xi2 = Flag(_rotation(direction, eps * (0.2 + 0.8 * u[1])) @ xi1.rep)
         try:
             value = ratio(s, s, check, xi1, xi2, config)
         except OutOfDomain:
@@ -257,12 +259,20 @@ def test_stacked_delta_matches_the_per_sample_loop_on_criterion_5():
         assert delta_r_eps(r, eps, 1000, seed=0, n=n) == expected
 
 
-@pytest.mark.parametrize("r, n, tol_minor", [(0.05, 2, 0.7), (0.1, 3, 0.6), (0.05, 4, 0.7)])
-def test_stacked_delta_drops_pairs_out_of_domain(monkeypatch, r, n, tol_minor):
+@pytest.mark.parametrize(
+    "r, n, tol_minor, seed",
+    [
+        pytest.param(0.05, 2, 0.7, 1, id="0.05-2-0.7"),
+        pytest.param(0.1, 3, 0.6, 1, id="0.1-3-0.6"),
+        # seed 1 drops no pair here; seed 0 is the first whose reference does
+        pytest.param(0.05, 4, 0.7, 0, id="0.05-4-0.7"),
+    ],
+)
+def test_stacked_delta_drops_pairs_out_of_domain(monkeypatch, r, n, tol_minor, seed):
     """A pivot threshold this coarse puts some xi2 outside a section domain;
     each such pair is dropped and the rest evaluated again, once per drop."""
     config = Config(tol_minor=tol_minor)
-    expected, dropped = _reference_delta(r, r, 60, 1, n, config)
+    expected, dropped = _reference_delta(r, r, 60, seed, n, config)
     assert dropped >= 1
     calls = []
     real = loxodromy.ratios
@@ -272,7 +282,7 @@ def test_stacked_delta_drops_pairs_out_of_domain(monkeypatch, r, n, tol_minor):
         return real(*args)
 
     monkeypatch.setattr(loxodromy, "ratios", counted)
-    assert delta_r_eps(r, r, 60, seed=1, n=n, config=config) == expected
+    assert delta_r_eps(r, r, 60, seed=seed, n=n, config=config) == expected
     assert len(calls) == 1 + dropped
 
 
@@ -285,7 +295,7 @@ def test_stacked_delta_budget_message_matches_the_per_sample_loop():
 
 
 def test_delta_evaluates_one_stacked_ratio(monkeypatch):
-    counts = {"ratios": 0, "ratio": 0, "transition": 0, "eval_section": 0}
+    counts = {"boundary_margins": 0, "ratios": 0, "ratio": 0, "transition": 0, "eval_section": 0}
 
     def counting(module, name):
         real = getattr(module, name)
@@ -296,13 +306,34 @@ def test_delta_evaluates_one_stacked_ratio(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
+    counting(loxodromy, "boundary_margins")
     counting(loxodromy, "ratios")
     counting(loxodromy, "ratio")
     counting(sections_cocycles, "transition")
     counting(sections_cocycles, "eval_section")
     delta_r_eps(0.15, 0.15, 128, seed=0, n=3)
+    # the draws are margin-tested in a block or two, not one block per pair
+    assert counts.pop("boundary_margins") <= 2
     # this call draws no pair out of domain, so nothing is evaluated twice
     assert counts == {"ratios": 1, "ratio": 0, "transition": 0, "eval_section": 0}
+
+
+@pytest.mark.parametrize("cap", [1, 3])
+def test_delta_does_not_depend_on_the_draw_block_cap(monkeypatch, cap):
+    cases = [(0.15, 0.15, 128, 0, 3), (0.3, 0.2, 40, 2, 2), (0.1, 0.1, 30, 1, 4)]
+    expected = [delta_r_eps(r, eps, m, seed=seed, n=n) for r, eps, m, seed, n in cases]
+    monkeypatch.setattr(loxodromy, "DRAW_CAP", cap)
+    assert [delta_r_eps(r, eps, m, seed=seed, n=n) for r, eps, m, seed, n in cases] == expected
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"mc_samples": 0}, {"mc_samples": -5}, {"mc_samples": 10.5}, {"n": 1}, {"n": 0}],
+    ids=["zero-samples", "negative-samples", "fractional-samples", "n-1", "n-0"],
+)
+def test_delta_rejects_unusable_inputs(kwargs):
+    with pytest.raises(ValueError):
+        delta_r_eps(0.15, 0.15, **{"mc_samples": 10, "n": 3, **kwargs})
 
 
 def _reference_certify(L, r, eps, grid=200, config=DEFAULT_CONFIG):

@@ -46,6 +46,16 @@ def test_select_trivial_net():
     assert len(cert.subset) <= 3
 
 
+@pytest.mark.parametrize("c", [[], [0.0]], ids=["k0", "k1"])
+def test_certificate_with_an_empty_subset_replays(c):
+    # no element has a V-part of positive volume, and the origin alone covers
+    cert = select_dense_subgroup_generators([TorusPoint([0.0], c)], 1.0, [(0.0, 0.0)])
+    assert cert.covered and cert.subset == ()
+    assert verify_certificate(cert) is True
+    # a recorded point that is not the empty combination does not replay
+    assert verify_certificate(dataclasses.replace(cert, points=cert.points + 0.5)) is False
+
+
 def test_select_cardinality_bound():
     e = [TorusPoint([1.0], [0.0]), TorusPoint([np.sqrt(2)], [GOLDEN])]
     cert = select_dense_subgroup_generators(e, 0.1, [(-1.0, 1.0)])
