@@ -13,7 +13,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotInBigCell, NotTransverse
 from .linalg_core import (
@@ -181,7 +180,9 @@ def _rotations(directions: np.ndarray, angles: np.ndarray) -> np.ndarray:
     and angle t of an (N,) array: Rodrigues at n = 3, one stacked
     scipy.linalg.expm call otherwise."""
     if directions.shape[-1] != 3:
-        return scipy.linalg.expm(angles[:, np.newaxis, np.newaxis] * directions)
+        from scipy.linalg import expm
+
+        return expm(angles[:, np.newaxis, np.newaxis] * directions)
     theta = angles * np.sqrt(0.5 * (directions * directions).reshape(-1, 9).sum(axis=1))
     still = theta == 0.0
     k = directions * (angles / np.where(still, 1.0, theta))[:, np.newaxis, np.newaxis]

@@ -14,7 +14,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BudgetExceeded, NonInvertible, NotInBigCell
 
@@ -270,7 +269,9 @@ def cartan_kak(g: GroupElement):
 
 def jordan_projection(g: GroupElement) -> CartanVector:
     """Non-increasing logs of the eigenvalue moduli, computed on the real Schur form."""
-    t, _ = scipy.linalg.schur(g.entries, output="real")
+    from scipy.linalg import schur
+
+    t, _ = schur(g.entries, output="real")
     n = g.n
     logs = []
     i = 0

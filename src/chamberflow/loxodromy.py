@@ -396,8 +396,20 @@ def product_estimate(
         for gi, ni in zip(family, powers):
             mat = np.linalg.matrix_power(gi.g.entries, ni) @ mat
         det = np.linalg.det(mat)
-    if not (np.all(np.isfinite(mat)) and np.isfinite(det) and det > 0):
-        raise HypothesisViolated("range", f"the product leaves double range (det {det:.3e})")
+    if not np.all(np.isfinite(mat)):
+        failed = "has a non-finite entry"
+    elif not det > 0:
+        # the product is in SL(n), so det <= 0 means rounding lost it
+        failed = "has det <= 0, not 1"
+    elif not np.isfinite(det):
+        failed = "has a det that overflows"
+    else:
+        failed = None
+    if failed:
+        raise HypothesisViolated(
+            "range",
+            f"the product {failed} (largest |entry| {np.max(np.abs(mat)):.3e}, det {det:.3e})",
+        )
     prod = GroupElement(mat / det ** (1.0 / mat.shape[0]))
     prod_data = classify(prod, config)
     d_plus = flag_distance(prod_data.attracting, family[-1].attracting)

@@ -27,8 +27,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
-from scipy.spatial import cKDTree
 
 from .errors import NotDenseAtBudget
 
@@ -85,6 +83,8 @@ class DensityCertificate:
 def _build_tree(points: np.ndarray, k: int):
     """KD-tree over the [v | c] rows of points with every torus coordinate
     replicated at shifts -1, 0, +1; owner[j] is the point behind tree row j."""
+    from scipy.spatial import cKDTree
+
     n, d = points.shape[0], points.shape[1] - k
     # the 3^k shift vectors, first coordinate slowest
     shifts = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=k)))
@@ -178,6 +178,17 @@ def _common_shape(points: list) -> tuple:
     return shapes[0]
 
 
+def _window_box(window, d: int) -> np.ndarray:
+    """window as a (d, 2) array of (lo, hi) rows; ValueError unless it has
+    that shape and lo <= hi in every row."""
+    box = np.atleast_2d(np.asarray(window, dtype=float))
+    if box.shape != (d, 2):
+        raise ValueError(f"window of shape {box.shape}; points with d = {d} need shape {(d, 2)}")
+    if not np.all(box[:, 0] <= box[:, 1]):
+        raise ValueError(f"window rows need lo <= hi, got {box.tolist()}")
+    return box
+
+
 def _greedy_v_basis(E: list, d: int) -> list:
     """Indices of <= d elements maximizing the spanned volume of the V-parts."""
     chosen = []
@@ -206,8 +217,8 @@ def select_dense_subgroup_generators(
 ) -> DensityCertificate:
     """Pick at most 3d + 2k elements of E whose generated group delta-covers
     window x torus (verified on a grid of step delta / 2)."""
-    window = np.atleast_2d(np.asarray(window, dtype=float))
     d, k = _common_shape(E)
+    window = _window_box(window, d)
     step = delta / 2.0
     limit = 3 * d + 2 * k
     subset_idx = _greedy_v_basis(E, d)
@@ -336,6 +347,8 @@ CONE_MEMBERSHIP_TOL = 1e-9   # absolute nnls residual floor of _cone_membership
 
 def _cone_membership(vf_dirs: np.ndarray, w: np.ndarray) -> bool:
     """Is w a nonnegative combination of the columns of vf_dirs?"""
+    from scipy.optimize import nnls
+
     if np.linalg.norm(w) < CONE_MEMBERSHIP_TOL:
         return True
     coeffs, resid = nnls(vf_dirs, w)
@@ -352,8 +365,8 @@ def semigroup_cone_density(
 
     Returns (v_F, DensityCertificate).
     """
-    window = np.atleast_2d(np.asarray(window, dtype=float))
     d, k = _common_shape(F)
+    window = _window_box(window, d)
     step = delta / 2.0
     # 1. group-density pre-check on the zonotope of the V-parts; the BFS
     #    corridor must contain the zonotope, which can exceed the user window

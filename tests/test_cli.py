@@ -105,6 +105,16 @@ def test_density_rejects_unusable_points(workdir, variant, points):
     assert _run(["density", variant, "--input", str(path), "--delta", "0.05"]) == 2
 
 
+@pytest.mark.parametrize("variant", ["select", "cone"])
+def test_density_rejects_a_window_of_the_wrong_dimension(workdir, variant, capsys):
+    path = workdir / "planar.json"
+    path.write_text(json.dumps({"points": [{"v": [1.0, 0.0], "c": [0.3]}, {"v": [1.0, 1.0], "c": [0.6]}]}))
+    out = workdir / "d.json"
+    assert _run(["density", variant, "--input", str(path), "--delta", "0.6", "--window", "0,2"], out) == 2
+    assert "shape (1, 2); points with d = 2 need shape (2, 2)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_density_failure_reports_farthest_cell(workdir):
     path = workdir / "lattice.json"
     path.write_text(json.dumps({"points": [{"v": [1.0]}]}))

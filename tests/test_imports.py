@@ -4,10 +4,15 @@ exempt, since its imports are the re-exported API), every private
 top-level function or class is used somewhere in the library, no
 module-level name is bound to a mutable dict, list or set (caches go
 through functools.cache), the library reads no NumPy name that
-NumPy 1.24, the declared floor, lacks, and no random stream is rewound
-by assigning its bit generator's state."""
+NumPy 1.24, the declared floor, lacks, no random stream is rewound
+by assigning its bit generator's state, and no module imports SciPy
+outside a function or class body, so that importing the package and its
+CLI loads no SciPy module."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "chamberflow"
@@ -209,3 +214,59 @@ def test_the_check_sees_a_stream_rewind():
         "rng.state = saved\n"
     )
     assert _stream_rewinds(tree) == [2, 3]
+
+
+def _module_level_scipy_imports(tree):
+    """Lines that import scipy or a scipy submodule outside any function or class body."""
+    found = []
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.level == 0 else []
+        else:
+            # module-level if/try/with/for blocks still run at import
+            stack.extend(child for child in ast.iter_child_nodes(node) if isinstance(child, ast.stmt))
+            continue
+        if any(name == "scipy" or name.startswith("scipy.") for name in names):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_no_module_imports_scipy_at_module_level():
+    offenders = {
+        path.name: lines
+        for path in sorted(SRC.glob("*.py"))
+        for lines in [_module_level_scipy_imports(ast.parse(path.read_text()))]
+        if lines
+    }
+    assert offenders == {}
+
+
+def test_the_check_sees_a_module_level_scipy_import():
+    tree = ast.parse(
+        "import scipy\n"
+        "import numpy as np, scipy.linalg as sla\n"
+        "from scipy.optimize import nnls\n"
+        "try:\n    from scipy import spatial\nexcept ImportError:\n    spatial = None\n"
+        "import scipyx\n"
+        "from .scipy import a\n"
+        "def f():\n    from scipy.linalg import expm\n    return expm\n"
+        "class K:\n    import scipy\n"
+    )
+    assert _module_level_scipy_imports(tree) == [1, 2, 3, 5]
+
+
+def test_importing_the_package_and_its_cli_loads_no_scipy_module():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    code = (
+        "import sys, chamberflow, chamberflow.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -195,11 +195,17 @@ def test_product_estimate_refuses_products_out_of_range(sl3_triple):
         compact_section(L.repelling) for L in sl3_triple
     ]
     xi0 = sl3_triple[2].attracting
-    for p in (4, 8, 32):
+    for p in (4, 8, 32, 300):
         with pytest.raises(ChamberflowError) as info:
             product_estimate(sl3_triple, [p] * 3, xi0, sections, 0.17, 0.17, 0.5)
         if p != 8:
             assert info.value.clause == "range"
+            assert "largest |entry|" in str(info.value)
+    # at power 3 every entry is finite, but rounding has lost the determinant
+    with pytest.raises(HypothesisViolated, match=r"det <= 0, not 1 \(largest \|entry\| 3\.\d+e\+10, det 0"):
+        product_estimate(sl3_triple, [3] * 3, xi0, sections, 0.17, 0.17, 0.5)
+    with pytest.raises(HypothesisViolated, match="has a non-finite entry"):
+        product_estimate(sl3_triple, [300] * 3, xi0, sections, 0.17, 0.17, 0.5)
     # powers [2, 2, 2] stay in range, and their report is the one before the
     # range check
     report = product_estimate(sl3_triple, [2] * 3, xi0, sections, 0.17, 0.17, 0.5)

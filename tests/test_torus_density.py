@@ -251,6 +251,17 @@ def test_density_inputs_must_share_one_shape(call):
         call([], 0.1, [(-1.0, 1.0)])
     with pytest.raises(ValueError, match="mixed"):
         call([TorusPoint([1.0], []), TorusPoint([np.sqrt(2)], [GOLDEN])], 0.1, [(-1.0, 1.0)])
+    # the window needs one (lo, hi) row per V coordinate
+    with pytest.raises(ValueError, match=r"shape \(1, 2\); points with d = 2 need shape \(2, 2\)"):
+        call(PLANAR, 0.6, [(0.0, 2.0)])
+    with pytest.raises(ValueError, match=r"shape \(2, 2\); points with d = 1 need shape \(1, 2\)"):
+        call(CIRCLE, 0.1, [(0.0, 2.0), (0.0, 2.0)])
+    with pytest.raises(ValueError, match=r"shape \(1, 3\); points with d = 1"):
+        call(CIRCLE, 0.1, [(0.0, 1.0, 2.0)])
+    with pytest.raises(ValueError, match="lo <= hi"):
+        call(CIRCLE, 0.1, [(1.0, -1.0)])
+    with pytest.raises(ValueError, match="lo <= hi"):
+        call(CIRCLE, 0.1, [(0.0, np.nan)])
 
 
 def _all_pairs_replay(cert):
