@@ -194,10 +194,10 @@ def _necklace_index(num_gens: int, length: int):
     return np.unique(least, return_inverse=True)
 
 
-def _necklace_sweep(mats: list, lengths):
+def _necklace_sweep(mats: list, lengths) -> list:
     """Engine output (words, lambdas, signs) for each of the given word
-    lengths in turn, from one batched sweep over the necklace
-    representatives of all of them, without ever forming a word product.
+    lengths, from one batched sweep over the necklace representatives of
+    all of them, without ever forming a word product.
 
     Both outputs are conjugation invariants, so every cyclic rotation of a
     word has the values of its necklace: the sweep runs once per necklace,
@@ -218,7 +218,7 @@ def _necklace_sweep(mats: list, lengths):
     diagonal, and F1 = F0 S on the attracting flag, F0^T w F0 = S R: the
     signs of the eigenvalues in decreasing modulus order are
     S = sign(diag(F0^T F1)). Each length's words come in lexicographic
-    order, of shape (N, length); reaching a length with a necklace whose
+    order, of shape (N, length); the shortest length with a necklace whose
     frame has not converged (|diag(F0^T F1)| < 1/2) raises NotLoxodromic.
     """
     n = mats[0].shape[0]
@@ -250,6 +250,7 @@ def _necklace_sweep(mats: list, lengths):
     overlap = np.einsum("bij,bij->bj", start, frames)
     stalled = np.abs(overlap).min(axis=1) < 0.5
     signs = np.where(overlap < 0, -1, 1)
+    out = []
     for k, (_, inverse), lo, hi in zip(lengths, necklaces, bounds, bounds[1:]):
         if stalled[lo:hi].any():
             first = tuple(int(i) for i in swept[lo + np.argmax(stalled[lo:hi]), :k])
@@ -257,7 +258,8 @@ def _necklace_sweep(mats: list, lengths):
                 f"{int(stalled[lo:hi].sum())} of {hi - lo} necklaces of length {k} have no "
                 f"converged attracting frame (first: {first})"
             )
-        yield _word_array(len(mats), k), lam[lo:hi][inverse], signs[lo:hi][inverse]
+        out.append((_word_array(len(mats), k), lam[lo:hi][inverse], signs[lo:hi][inverse]))
+    return out
 
 
 def stable_word_lambdas(mats: list, length: int):
@@ -269,19 +271,33 @@ def stable_word_lambdas(mats: list, length: int):
     with words of shape (N, length); raises NotLoxodromic if some
     necklace's frame has not converged.
     """
-    (result,) = _necklace_sweep(mats, [length])
-    return result
+    return _necklace_sweep(mats, [length])[0]
 
 
-def _word_sweep(fam: SchottkyFamily, max_len: int, config: Config):
-    """Engine output (words, lambdas, signs) for each length 1..max_len,
-    from one sweep, after one check of the total word count against
-    config.max_words."""
+@dataclass(frozen=True)
+class WordSpectrum:
+    """Output of `_necklace_sweep` for the word lengths 1..max_len: entry
+    k - 1 of each tuple is the array for length k, frozen here."""
+
+    words: tuple      # (g**k, k) letter indices, lexicographic order
+    lambdas: tuple    # (g**k, n) Jordan projections
+    signs: tuple      # (g**k, n) eigenvalue signs, decreasing modulus
+
+    def __post_init__(self):
+        for arr in self.words + self.lambdas + self.signs:
+            arr.flags.writeable = False
+
+
+def word_spectrum(fam: SchottkyFamily, max_len: int, config: Config = DEFAULT_CONFIG) -> WordSpectrum:
+    """The spectrum of all positive words of lengths 1..max_len, after one
+    check of their count against config.max_words."""
+    if max_len < 1:
+        raise ValueError(f"max_len = {max_len}: word lengths start at 1")
     mats = [L.g.entries for L in fam.generators]
     count = sum(len(mats) ** k for k in range(1, max_len + 1))
     if count > config.max_words:
         raise BudgetExceeded(f"{count} words exceeds the budget max_words = {config.max_words}")
-    yield from _necklace_sweep(mats, range(1, max_len + 1))
+    return WordSpectrum(*zip(*_necklace_sweep(mats, range(1, max_len + 1))))
 
 
 def _unit_rays(lams: np.ndarray) -> np.ndarray:
@@ -296,11 +312,11 @@ def _unit_rays(lams: np.ndarray) -> np.ndarray:
     return lams / norms[:, np.newaxis]
 
 
-def _cone_estimate(rays: np.ndarray, n: int, word_length: int) -> ConeEstimate:
+def _cone_estimate(rays: np.ndarray, word_length: int) -> ConeEstimate:
     """Cone estimate with the extreme rays of the cone hull of the rows of
     `rays`."""
-    dim = n - 1
-    basis = _chamber_basis(n)
+    dim = rays.shape[1] - 1
+    basis = _chamber_basis(rays.shape[1])
     pts = rays @ basis
     if dim == 1:
         hull = rays[:1]
@@ -330,26 +346,13 @@ def _cone_estimate(rays: np.ndarray, n: int, word_length: int) -> ConeEstimate:
 
 def limit_cone(fam: SchottkyFamily, max_len: int, config: Config = DEFAULT_CONFIG) -> ConeEstimate:
     """Hull of the Jordan directions of all positive words up to max_len."""
-    rays = [_unit_rays(lams) for _, lams, _ in _word_sweep(fam, max_len, config)]
-    return _cone_estimate(np.concatenate(rays), fam.generators[0].g.n, max_len)
-
-
-def cone_contains(cone: ConeEstimate, direction: np.ndarray) -> bool:
-    """Membership of a direction in the cone hull (nonneg combination)."""
-    hull = np.array([h.coords for h in cone.hull]).T  # n x m
-    d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
-    from scipy.optimize import nnls
-
-    coeffs, resid = nnls(hull, d)
-    return resid <= np.sqrt(1e-9)
+    return _cone_estimate(_unit_rays(np.concatenate(word_spectrum(fam, max_len, config).lambdas)), max_len)
 
 
 def cone_interior(cone: ConeEstimate, direction: np.ndarray) -> bool:
     """Strict interior test: strictly positive hull-ray combination."""
     hull = np.array([h.coords for h in cone.hull]).T
-    d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
+    d = np.asarray(direction, dtype=float) / np.linalg.norm(direction)
     m = hull.shape[1]
     if m == 1:
         return bool(np.linalg.norm(d - hull[:, 0]) < CONE_MARGIN)
@@ -381,9 +384,9 @@ def _reduce_bits(bits: tuple, basis_bits: list) -> tuple:
 def sign_group(fam: SchottkyFamily, max_len: int, config: Config = DEFAULT_CONFIG) -> SignGroupReport:
     """The sign group M_Gamma via GF(2) elimination on the M-parts of the
     extended Jordan projections of all positive words up to max_len."""
-    n = fam.generators[0].g.n
+    spectrum = word_spectrum(fam, max_len, config)
     basis, basis_bits, witnesses = [], [], []
-    for words, _, signs in _word_sweep(fam, max_len, config):
+    for words, signs in zip(spectrum.words, spectrum.signs):
         # a repeated row is already in the span: reduce first occurrences only
         _, first = np.unique(signs, axis=0, return_index=True)
         for i in np.sort(first):
@@ -394,7 +397,7 @@ def sign_group(fam: SchottkyFamily, max_len: int, config: Config = DEFAULT_CONFI
                 basis_bits.append(residual)
                 witnesses.append((tuple(int(k) for k in words[i]), m))
         # eigenvalue signs multiply to det = +1, so p <= n - 1
-        if len(basis) == n - 1:
+        if len(basis) == signs.shape[1] - 1:
             break
     p = len(basis)
     return SignGroupReport(tuple(basis), 2 ** p, p, tuple(witnesses))
@@ -528,26 +531,22 @@ def jordan_line_density_probe(
     """Project Jordan vectors of all words onto the theta-line; report the
     in-window hits among words with orthogonal deviation < delta0 and the
     sorted gaps of their theta-components."""
-    t_dir = theta.coords / np.linalg.norm(theta.coords)
+    n = fam.generators[0].g.n
+    norm = np.linalg.norm(theta.coords)
+    if theta.n != n or not 0.0 < norm < np.inf:
+        raise ValueError(f"theta = {theta.coords.tolist()} is not a finite nonzero vector of R^{n}")
+    t_dir = theta.coords / norm
+    lambdas = word_spectrum(fam, max_len, config).lambdas
     cone_len = min(max_len, 4)
-    rays, hits = [], []
-    total = 0
-    for words, lams, _ in _word_sweep(fam, max_len, config):
-        if words.shape[1] <= cone_len:
-            rays.append(_unit_rays(lams))
-        total += len(lams)
-        ts = lams @ t_dir
-        devs = np.linalg.norm(lams - ts[:, np.newaxis] * t_dir, axis=1)
-        mask = (devs < delta0) & (ts >= window[0]) & (ts <= window[1])
-        hits.extend(float(t) for t in ts[mask])
-    interior = cone_interior(
-        _cone_estimate(np.concatenate(rays), fam.generators[0].g.n, cone_len), t_dir
-    )
-    hits.sort()
+    interior = cone_interior(_cone_estimate(_unit_rays(np.concatenate(lambdas[:cone_len])), cone_len), t_dir)
+    lams = np.concatenate(lambdas)
+    ts = lams @ t_dir
+    devs = np.linalg.norm(lams - ts[:, np.newaxis] * t_dir, axis=1)
+    hits = sorted(float(t) for t in ts[(devs < delta0) & (ts >= window[0]) & (ts <= window[1])])
     gaps = np.diff(hits) if len(hits) > 1 else np.array([])
     out = {
         "theta_interior": bool(interior),
-        "words": total,
+        "words": len(lams),
         "hits": len(hits),
         "t_values": hits,
         "max_gap": float(gaps.max()) if gaps.size else float("inf"),

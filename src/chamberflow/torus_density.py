@@ -295,8 +295,8 @@ def _provenance_holds(cert: DensityCertificate, pv: np.ndarray, pc: np.ndarray) 
         return False
     if n == 0:
         return True
-    sv = np.asarray([p.v for p in cert.subset]).reshape(-1, d)
-    sc = np.asarray([p.c for p in cert.subset]).reshape(len(sv), pc.shape[1])
+    sv = np.asarray([p.v for p in cert.subset]).reshape(len(cert.subset), d)
+    sc = np.asarray([p.c for p in cert.subset]).reshape(len(cert.subset), pc.shape[1])
     coeffs = np.asarray(cert.coeffs, dtype=float)
     if np.abs(coeffs).max(initial=0.0) > cert.coeff_bound:
         return False

@@ -225,6 +225,27 @@ def test_config_file_word_budget_is_honoured(workdir, capsys):
     assert main(["limit-cone", family, "--max-len", "2", "--config", str(path)]) == 0
 
 
+@pytest.mark.parametrize("command", ["limit-cone", "sign-group", "decor-check", "mix-probe"])
+def test_word_commands_refuse_max_len_below_one(workdir, capsys, command):
+    extra = ["--theta", "1,-1"] if command == "mix-probe" else []
+    out = workdir / "w.json"
+    assert _run([command, str(workdir / "fam2.json"), "--max-len", "0"] + extra, out) == 2
+    assert "configuration error: max_len = 0: word lengths start at 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mix_probe_refuses_theta_of_the_wrong_dimension(tmp_path, capsys):
+    a = conjugated(168, list(np.exp([7.0, 2.0, -9.0])))
+    b = conjugated(169, list(np.exp([9.0, -2.0, -7.0])))
+    fam_path = tmp_path / "fam3.json"
+    fam_path.write_text(json.dumps({"seeds": [matrix_to_json(a), matrix_to_json(b)], "r": 0.15, "eps": 0.15}))
+    out = tmp_path / "p.json"
+    assert _run(["mix-probe", str(fam_path), "--theta", "1,0,-1,0"], out) == 2
+    message = "configuration error: theta = [1.0, 0.0, -1.0, 0.0] is not a finite nonzero vector of R^3"
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_failure_reporting(workdir):
     cfg = workdir / "tight.json"
     cfg.write_text(json.dumps({"tolerances": {"tol_recon": 1e-15}}))

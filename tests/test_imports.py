@@ -5,9 +5,10 @@ top-level function or class is used somewhere in the library, no
 module-level name is bound to a mutable dict, list or set (caches go
 through functools.cache), the library reads no NumPy name that
 NumPy 1.24, the declared floor, lacks, no random stream is rewound
-by assigning its bit generator's state, and no module imports SciPy
+by assigning its bit generator's state, no module imports SciPy
 outside a function or class body, so that importing the package and its
-CLI loads no SciPy module."""
+CLI loads no SciPy module, and only `word_spectrum` and
+`stable_word_lambdas` run the word engine `_necklace_sweep`."""
 
 import ast
 import os
@@ -270,3 +271,47 @@ def test_importing_the_package_and_its_cli_loads_no_scipy_module():
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+ENGINE = "_necklace_sweep"
+
+
+def _engine_readers(trees):
+    """module.definition of each top-level function or class that reads
+    _necklace_sweep, as a name or as an attribute, and the module alone
+    for a read outside any definition."""
+    found = set()
+    for module, tree in trees.items():
+        for top in tree.body:
+            owner = module
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = f"{module}.{top.name}"
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Name) and node.id == ENGINE) or (
+                    isinstance(node, ast.Attribute) and node.attr == ENGINE
+                ):
+                    found.add(owner)
+    return sorted(found)
+
+
+def test_one_word_engine():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert _engine_readers(trees) == [
+        "schottky_dynamics.stable_word_lambdas",
+        "schottky_dynamics.word_spectrum",
+    ]
+
+
+def test_the_check_sees_a_third_engine_reader():
+    trees = {
+        "a": ast.parse(
+            "def _necklace_sweep(mats, lengths):\n    return []\n\n"
+            "def word_spectrum(mats):\n    return _necklace_sweep(mats, [1, 2])\n\n"
+            "def third(mats):\n    return [_necklace_sweep(mats, [k]) for k in (1, 2)]\n"
+        ),
+        "b": ast.parse(
+            "import a\n\nclass K:\n    def run(self, mats):\n        return a._necklace_sweep(mats, [1])\n\n"
+            "sweep = a._necklace_sweep\n"
+        ),
+    }
+    assert _engine_readers(trees) == ["a.third", "a.word_spectrum", "b", "b.K"]

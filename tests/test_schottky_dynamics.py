@@ -1,5 +1,5 @@
-import itertools
 import math
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -19,10 +19,10 @@ from chamberflow.linalg_core import (
     random_rotation,
 )
 from chamberflow.schottky_dynamics import (
+    SchottkyFamily,
     build_schottky,
     chamber_coords,
     component_label_transport,
-    cone_contains,
     cone_interior,
     coset_index,
     decorrelation_discret_check,
@@ -30,6 +30,7 @@ from chamberflow.schottky_dynamics import (
     limit_cone,
     sign_group,
     stable_word_lambdas,
+    word_spectrum,
 )
 from chamberflow.sections_cocycles import BHCoordinates, best_section, covering_family
 
@@ -147,13 +148,15 @@ def test_stable_word_lambdas_sweeps_one_word_per_necklace(cone_family, monkeypat
 def test_all_length_sweep_matches_one_length_sweeps(family, max_len, request):
     fam = request.getfixturevalue(family)
     mats = [L.g.entries for L in fam.generators]
-    sweep = list(schottky_dynamics._word_sweep(fam, max_len, Config()))
-    assert len(sweep) == max_len
-    for length, shared in enumerate(sweep, start=1):
+    spectrum = word_spectrum(fam, max_len, Config())
+    per_length = list(zip(spectrum.words, spectrum.lambdas, spectrum.signs))
+    assert len(per_length) == max_len
+    for length, shared in enumerate(per_length, start=1):
         alone = stable_word_lambdas(mats, length)
         for got, want in zip(shared, alone):
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes(), length
+            assert not got.flags.writeable
 
 
 def test_limit_cone_rays_do_not_depend_on_the_longest_length(cone_family):
@@ -175,6 +178,24 @@ def test_limit_cone_sweeps_all_lengths_in_one_qr_call_per_step(cone_family, monk
     limit_cone(cone_family, 11)
     # 449 binary necklaces of lengths 1..11; length 11's schedule of
     # (3 + 1) periods is the longest, 44 steps
+    assert batches == [449] * 44
+
+
+def test_sign_group_and_probe_sweep_once(cone_family, monkeypatch):
+    batches = []
+    real = schottky_dynamics._batched_qr_positive
+
+    def counting(frames):
+        batches.append(len(frames))
+        return real(frames)
+
+    monkeypatch.setattr(schottky_dynamics, "_batched_qr_positive", counting)
+    sign_group(cone_family, 7)
+    # 57 binary necklaces of lengths 1..7; length 7's (4 + 1) periods, 35 steps
+    assert batches == [57] * 35
+    batches.clear()
+    theta = CartanVector(np.array([1.0, 0.2, -1.2]))
+    jordan_line_density_probe(cone_family, theta, (10.0, 190.0), 11, delta0=0.5)
     assert batches == [449] * 44
 
 
@@ -221,24 +242,48 @@ def test_batched_qr_kernel_bits_do_not_depend_on_the_stack():
         assert logs_part.tobytes() == np.ascontiguousarray(logs[rows]).tobytes()
 
 
-def test_stalled_necklace_is_named_at_its_own_length():
-    # r's top two eigenvalues share the modulus e: a frame turns by theta
-    # per letter inside their plane and never converges, and its overlap
-    # over a word r^k is cos(k theta); theta / pi = sqrt(2) / 10 is
-    # irrational, with |cos(k theta)| >= 1/2 for k = 1, 2 and < 1/2 for k = 3
+def _uncertified_family(mats):
+    """A family record around raw matrices, for the word engine alone."""
+    gens = tuple(SimpleNamespace(g=SimpleNamespace(entries=m, n=m.shape[0])) for m in mats)
+    return SchottkyFamily(gens, 0.0, 0.0, (), np.zeros((len(mats), len(mats))))
+
+
+def _stalling_letter():
+    """r's top two eigenvalues share the modulus e: a frame turns by theta
+    per letter inside their plane and never converges, and its overlap
+    over a word r^k is cos(k theta); theta / pi = sqrt(2) / 10 is
+    irrational, with |cos(k theta)| >= 1/2 for k = 1, 2 and < 1/2 for k = 3"""
     h = random_rotation(np.random.default_rng(7), 3)
     block = np.zeros((3, 3))
     block[:2, :2] = np.e * rotation2(np.pi * np.sqrt(2) / 10)
     block[2, 2] = np.exp(-2.0)
-    mats = [conjugated(168, np.exp([7.0, 2.0, -9.0])), h @ block @ h.T]
+    return h @ block @ h.T
+
+
+def test_stalled_necklace_is_named_at_its_own_length():
+    mats = [conjugated(168, np.exp([7.0, 2.0, -9.0])), _stalling_letter()]
+    fam = _uncertified_family(mats)
     message = r"^1 of 4 necklaces of length 3 have no converged attracting frame \(first: \(1, 1, 1\)\)$"
+    assert [len(words) for words in word_spectrum(fam, 2).words] == [2, 4]
     # rows of lengths 1..5 share the sweep, zero-padded to length 5
-    sweep = schottky_dynamics._necklace_sweep(mats, range(1, 6))
-    assert [len(words) for words, _, _ in itertools.islice(sweep, 2)] == [2, 4]
     with pytest.raises(NotLoxodromic, match=message):
-        next(sweep)
+        word_spectrum(fam, 5)
     with pytest.raises(NotLoxodromic, match=message):
         stable_word_lambdas(mats, 3)
+
+
+def test_sign_group_refuses_a_stalled_necklace_past_its_early_break():
+    # the two sign letters reach p = n - 1 at length 1, so the elimination
+    # stops there, but the spectrum it reads runs to max_len
+    mats = [
+        conjugated(168, [-150.0, -1.0, 1 / 150.0]),
+        conjugated(169, [150.0, -1.0, -1 / 150.0]),
+        _stalling_letter(),
+    ]
+    fam = _uncertified_family(mats)
+    assert sign_group(fam, 2).p == 2
+    with pytest.raises(NotLoxodromic, match=r"of length 3 .* \(first: \(2, 2, 2\)\)$"):
+        sign_group(fam, 5)
 
 
 def test_unit_rays_refuse_a_vanishing_jordan_projection():
@@ -252,6 +297,23 @@ def test_word_sweep_budget(cone_family):
         limit_cone(cone_family, 10, Config(max_words=1000))
     with pytest.raises(BudgetExceeded):
         sign_group(cone_family, 10, Config(max_words=1000))
+    theta = CartanVector(np.array([1.0, 0.2, -1.2]))
+    with pytest.raises(BudgetExceeded):
+        jordan_line_density_probe(cone_family, theta, (10.0, 60.0), 10, config=Config(max_words=1000))
+
+
+@pytest.mark.parametrize("max_len", [0, -1])
+def test_word_lengths_start_at_one(cone_family, max_len):
+    message = rf"^max_len = {max_len}: word lengths start at 1$"
+    theta = CartanVector(np.array([1.0, 0.2, -1.2]))
+    for call in (
+        lambda: word_spectrum(cone_family, max_len),
+        lambda: limit_cone(cone_family, max_len),
+        lambda: sign_group(cone_family, max_len),
+        lambda: jordan_line_density_probe(cone_family, theta, (10.0, 60.0), max_len),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_build_schottky_selects_certified_powers(sl3_triple):
@@ -323,10 +385,17 @@ def test_limit_cone_rays_are_one_read_only_array(cone_family):
     assert rays.coords.tobytes() == oracle.tobytes()
 
 
+def _in_cone_hull(cone, direction):
+    """A nonnegative combination of the hull rays, to an nnls residual of
+    sqrt(1e-9)."""
+    hull = np.array([h.coords for h in cone.hull]).T
+    return nnls(hull, direction / np.linalg.norm(direction))[1] <= np.sqrt(1e-9)
+
+
 def test_limit_cone_hull_contains_all_rays(cone_family):
     cone = limit_cone(cone_family, 4)
     for ray in cone.rays:
-        assert cone_contains(cone, ray.coords)
+        assert _in_cone_hull(cone, ray.coords)
 
 
 def test_limit_cone_in_sl4():
@@ -343,7 +412,7 @@ def test_limit_cone_in_sl4():
     for h in cone.hull:
         assert np.abs(rays - h.coords).max(axis=1).min() < 1e-12
     for ray in rays:
-        assert cone_contains(cone, ray)
+        assert _in_cone_hull(cone, ray)
     # every hull ray is extreme: none is a nonnegative combination of the others
     hull = np.array([h.coords for h in cone.hull])
     for i, h in enumerate(hull):
@@ -354,7 +423,7 @@ def test_limit_cone_hulls_are_nested(cone_family):
     small = limit_cone(cone_family, 2)
     large = limit_cone(cone_family, 4)
     for h in small.hull:
-        assert cone_contains(large, h.coords)
+        assert _in_cone_hull(large, h.coords)
 
 
 def test_cone_interior_and_exterior(cone_family):
@@ -490,6 +559,24 @@ def test_line_density_probe_warns_off_cone(cone_family):
     stats = jordan_line_density_probe(cone_family, theta, (10.0, 60.0), 6, delta0=0.5)
     assert not stats["theta_interior"]
     assert stats["warning"] == "theta-outside-cone"
+
+
+@pytest.mark.parametrize(
+    "coords, message",
+    [
+        ([1.0, 0.0, -1.0, 0.0], r"^theta = \[1\.0, 0\.0, -1\.0, 0\.0\] is not a finite nonzero vector of R\^3$"),
+        ([1.0, 1.0, 1.0], r"^theta = \[0\.0, 0\.0, 0\.0\] is not a finite nonzero vector of R\^3$"),
+        ([np.nan, 0.0, 0.0], r"^theta = \[nan, nan, nan\] is not a finite nonzero vector of R\^3$"),
+    ],
+    ids=["dimension", "zero", "nan"],
+)
+def test_line_density_probe_checks_theta_before_sweeping(cone_family, monkeypatch, coords, message):
+    def no_sweep(frames):
+        raise AssertionError("the word engine ran")
+
+    monkeypatch.setattr(schottky_dynamics, "_batched_qr_positive", no_sweep)
+    with pytest.raises(ValueError, match=message):
+        jordan_line_density_probe(cone_family, CartanVector(np.array(coords)), (10.0, 60.0), 4)
 
 
 def test_chamber_coords_are_isometric():

@@ -56,6 +56,15 @@ def test_certificate_with_an_empty_subset_replays(c):
     assert verify_certificate(dataclasses.replace(cert, points=cert.points + 0.5)) is False
 
 
+def test_pure_torus_certificate_replays():
+    # d = 0: the subset's V-parts are an empty (len(subset), 0) array
+    pair = [TorusPoint([], [GOLDEN]), TorusPoint([], [np.sqrt(2) - 1])]
+    cert = select_dense_subgroup_generators(pair, 0.1, np.zeros((0, 2)))
+    assert cert.covered and cert.d == 0
+    assert verify_certificate(cert) is True
+    assert verify_certificate(_change_coeff(cert, len(cert.points) // 2)) is False
+
+
 def test_select_cardinality_bound():
     e = [TorusPoint([1.0], [0.0]), TorusPoint([np.sqrt(2)], [GOLDEN])]
     cert = select_dense_subgroup_generators(e, 0.1, [(-1.0, 1.0)])
