@@ -194,10 +194,10 @@ def _necklace_index(num_gens: int, length: int):
     return np.unique(least, return_inverse=True)
 
 
-def _necklace_sweep(mats: list, lengths) -> list:
-    """Engine output (words, lambdas, signs) for each of the given word
-    lengths, from one batched sweep over the necklace representatives of
-    all of them, without ever forming a word product.
+def _necklace_sweep(mats: list, max_len: int, min_len: int = 1) -> list:
+    """Engine output (words, lambdas, signs) for each word length
+    min_len..max_len, from one batched sweep over the necklace
+    representatives of all of them, without ever forming a word product.
 
     Both outputs are conjugation invariants, so every cyclic rotation of a
     word has the values of its necklace: the sweep runs once per necklace,
@@ -220,7 +220,11 @@ def _necklace_sweep(mats: list, lengths) -> list:
     S = sign(diag(F0^T F1)). Each length's words come in lexicographic
     order, of shape (N, length); the shortest length with a necklace whose
     frame has not converged (|diag(F0^T F1)| < 1/2) raises NotLoxodromic.
+    A length below 1 raises ValueError.
     """
+    if min(min_len, max_len) < 1:
+        raise ValueError(f"max_len = {max_len}: word lengths start at 1")
+    lengths = range(min_len, max_len + 1)
     n = mats[0].shape[0]
     necklaces = [_necklace_index(len(mats), k) for k in lengths]
     bounds = np.cumsum([0] + [len(reps) for reps, _ in necklaces])
@@ -269,9 +273,9 @@ def stable_word_lambdas(mats: list, length: int):
 
     Returns (words, lambdas, signs) for all words, in lexicographic order,
     with words of shape (N, length); raises NotLoxodromic if some
-    necklace's frame has not converged.
+    necklace's frame has not converged, and ValueError if length < 1.
     """
-    return _necklace_sweep(mats, [length])[0]
+    return _necklace_sweep(mats, length, length)[0]
 
 
 @dataclass(frozen=True)
@@ -291,13 +295,11 @@ class WordSpectrum:
 def word_spectrum(fam: SchottkyFamily, max_len: int, config: Config = DEFAULT_CONFIG) -> WordSpectrum:
     """The spectrum of all positive words of lengths 1..max_len, after one
     check of their count against config.max_words."""
-    if max_len < 1:
-        raise ValueError(f"max_len = {max_len}: word lengths start at 1")
     mats = [L.g.entries for L in fam.generators]
     count = sum(len(mats) ** k for k in range(1, max_len + 1))
     if count > config.max_words:
         raise BudgetExceeded(f"{count} words exceeds the budget max_words = {config.max_words}")
-    return WordSpectrum(*zip(*_necklace_sweep(mats, range(1, max_len + 1))))
+    return WordSpectrum(*zip(*_necklace_sweep(mats, max_len)))
 
 
 def _unit_rays(lams: np.ndarray) -> np.ndarray:
@@ -350,12 +352,35 @@ def limit_cone(fam: SchottkyFamily, max_len: int, config: Config = DEFAULT_CONFI
 
 
 def cone_interior(cone: ConeEstimate, direction: np.ndarray) -> bool:
-    """Strict interior test: strictly positive hull-ray combination."""
+    """Strict interior test: d = direction / |direction| is a combination
+    of the m hull rays whose smallest coefficient t* exceeds CONE_MARGIN.
+
+    A simplicial hull (m rays of rank m, so m <= n - 1; every hull at
+    n <= 3) is decided in closed form: hull @ coeffs = d has at most one
+    solution, so t* is the least entry of the least-squares solution if
+    its residual vanishes, and no combination exists otherwise.
+
+    The residual is the part of d off the rays' span. LAPACK obtains it by
+    orthogonal transformations of the unit vector d, so for d on the span
+    it is rounding of order n * 2.2e-16, however ill-conditioned the rays
+    are. A residual above 1e-9, far above that rounding and below the 1e-7
+    feasibility tolerance to which HiGHS holds the equality in the LP
+    below, puts d off the span. The coefficients are accurate whenever
+    the answer can be True: then all of them are positive, and rays of
+    the closed chamber have pairwise nonnegative inner products, so
+    |coeffs| <= |hull @ coeffs| = 1.
+
+    Otherwise the rays are linearly dependent, as more than n - 1 extreme
+    rays (possible from n = 4 on) always are, and a HiGHS LP maximizes t*.
+    """
     hull = np.array([h.coords for h in cone.hull]).T
     d = np.asarray(direction, dtype=float) / np.linalg.norm(direction)
-    m = hull.shape[1]
+    n, m = hull.shape
     if m == 1:
         return bool(np.linalg.norm(d - hull[:, 0]) < CONE_MARGIN)
+    coeffs, residual, rank, _ = np.linalg.lstsq(hull, d, rcond=None)
+    if rank == m < n:  # numpy reports the squared residual in exactly this case
+        return bool(np.sqrt(residual[0]) <= 1e-9 and coeffs.min() > CONE_MARGIN)
     from scipy.optimize import linprog
 
     # maximize the smallest coefficient t: coeffs >= t, hull @ coeffs = d
@@ -530,11 +555,14 @@ def jordan_line_density_probe(
 ) -> dict:
     """Project Jordan vectors of all words onto the theta-line; report the
     in-window hits among words with orthogonal deviation < delta0 and the
-    sorted gaps of their theta-components."""
+    sorted gaps of their theta-components; with fewer than two hits both
+    gaps are None. The window is two finite numbers lo <= hi."""
     n = fam.generators[0].g.n
     norm = np.linalg.norm(theta.coords)
     if theta.n != n or not 0.0 < norm < np.inf:
         raise ValueError(f"theta = {theta.coords.tolist()} is not a finite nonzero vector of R^{n}")
+    if len(window) != 2 or not np.isfinite(window).all() or window[0] > window[1]:
+        raise ValueError(f"window = {list(window)} is not two finite numbers lo <= hi")
     t_dir = theta.coords / norm
     lambdas = word_spectrum(fam, max_len, config).lambdas
     cone_len = min(max_len, 4)
@@ -549,8 +577,8 @@ def jordan_line_density_probe(
         "words": len(lams),
         "hits": len(hits),
         "t_values": hits,
-        "max_gap": float(gaps.max()) if gaps.size else float("inf"),
-        "mean_gap": float(gaps.mean()) if gaps.size else float("inf"),
+        "max_gap": float(gaps.max()) if gaps.size else None,
+        "mean_gap": float(gaps.mean()) if gaps.size else None,
     }
     if not interior:
         out["warning"] = "theta-outside-cone"

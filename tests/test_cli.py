@@ -246,6 +246,31 @@ def test_mix_probe_refuses_theta_of_the_wrong_dimension(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "window, shown",
+    [("1", "[1.0]"), ("20,1", "[20.0, 1.0]")],
+    ids=["one-number", "lo-above-hi"],
+)
+def test_mix_probe_refuses_a_bad_window(workdir, capsys, window, shown):
+    out = workdir / "p.json"
+    assert _run(["mix-probe", str(workdir / "fam2.json"), "--theta", "1,-1", "--window", window], out) == 2
+    assert f"configuration error: window = {shown} is not two finite numbers lo <= hi" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mix_probe_report_is_strict_json_below_two_hits(workdir):
+    out = workdir / "p.json"
+    args = ["mix-probe", str(workdir / "fam2.json"), "--theta", "1,-1", "--window", "1,1.5", "--max-len", "4"]
+    assert _run(args, out) == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    report = json.loads(out.read_text(), parse_constant=reject)
+    assert report["hits"] < 2
+    assert report["max_gap"] is None and report["mean_gap"] is None
+
+
 def test_verify_failure_reporting(workdir):
     cfg = workdir / "tight.json"
     cfg.write_text(json.dumps({"tolerances": {"tol_recon": 1e-15}}))

@@ -7,8 +7,9 @@ through functools.cache), the library reads no NumPy name that
 NumPy 1.24, the declared floor, lacks, no random stream is rewound
 by assigning its bit generator's state, no module imports SciPy
 outside a function or class body, so that importing the package and its
-CLI loads no SciPy module, and only `word_spectrum` and
-`stable_word_lambdas` run the word engine `_necklace_sweep`."""
+CLI loads no SciPy module (nor do the word routines at n = 3), and only
+`word_spectrum` and `stable_word_lambdas` run the word engine
+`_necklace_sweep`."""
 
 import ast
 import os
@@ -267,6 +268,30 @@ def test_importing_the_package_and_its_cli_loads_no_scipy_module():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
     code = (
         "import sys, chamberflow, chamberflow.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_the_word_routines_load_no_scipy_module_at_n_3():
+    # every cone hull at n = 3 is simplicial, so cone_interior needs no LP
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import chamberflow as cf\n"
+        "from chamberflow.linalg_core import project_to_sl, random_rotation\n"
+        "def seed(s, logs):\n"
+        "    h = random_rotation(np.random.default_rng(s), 3)\n"
+        "    return project_to_sl(h @ np.diag(np.exp(logs)) @ h.T).entries\n"
+        "fam = cf.build_schottky([seed(168, [7.0, 2.0, -9.0]), seed(169, [9.0, -2.0, -7.0])], 0.15, 0.15)\n"
+        "theta = cf.CartanVector(sum(L.lam.coords / np.linalg.norm(L.lam.coords) for L in fam.generators))\n"
+        "probe = cf.jordan_line_density_probe(fam, theta, (10.0, 190.0), 8, delta0=0.5)\n"
+        "assert probe['theta_interior'] and probe['hits'] > 1, probe\n"
+        "assert len(cf.limit_cone(fam, 6).hull) == 2\n"
+        "cf.sign_group(fam, 5)\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)

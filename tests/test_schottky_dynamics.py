@@ -4,7 +4,8 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 import pytest
-from scipy.optimize import nnls
+import scipy.optimize
+from scipy.optimize import linprog, nnls
 
 from chamberflow import schottky_dynamics
 from chamberflow.errors import BudgetExceeded, NotGeneric, NotLoxodromic
@@ -19,6 +20,7 @@ from chamberflow.linalg_core import (
     random_rotation,
 )
 from chamberflow.schottky_dynamics import (
+    CONE_MARGIN,
     SchottkyFamily,
     build_schottky,
     chamber_coords,
@@ -306,7 +308,9 @@ def test_word_sweep_budget(cone_family):
 def test_word_lengths_start_at_one(cone_family, max_len):
     message = rf"^max_len = {max_len}: word lengths start at 1$"
     theta = CartanVector(np.array([1.0, 0.2, -1.2]))
+    mats = [L.g.entries for L in cone_family.generators]
     for call in (
+        lambda: stable_word_lambdas(mats, max_len),
         lambda: word_spectrum(cone_family, max_len),
         lambda: limit_cone(cone_family, max_len),
         lambda: sign_group(cone_family, max_len),
@@ -398,14 +402,18 @@ def test_limit_cone_hull_contains_all_rays(cone_family):
         assert _in_cone_hull(cone, ray.coords)
 
 
-def test_limit_cone_in_sl4():
-    # n = 4: the hull is taken by ConvexHull in the 3-D chamber coordinates
-    fam = build_schottky(
+@pytest.fixture(scope="module")
+def sl4_family():
+    return build_schottky(
         [conjugated4(412, [9.0, 3.0, -3.0, -9.0]), conjugated4(413, [10.0, 2.0, -4.0, -8.0])],
         0.12,
         0.12,
     )
-    cone = limit_cone(fam, 4)
+
+
+def test_limit_cone_in_sl4(sl4_family):
+    # n = 4: the hull is taken by ConvexHull in the 3-D chamber coordinates
+    cone = limit_cone(sl4_family, 4)
     rays = cone.rays.coords
     assert rays.shape == (2 + 4 + 8 + 16, 4)
     assert len(cone.hull) >= 3
@@ -434,6 +442,69 @@ def test_cone_interior_and_exterior(cone_family):
     assert cone_interior(cone, interior_dir)
     exterior = np.array([1.0, 0.8, -1.8])
     assert not cone_interior(cone, exterior / np.linalg.norm(exterior))
+
+
+def _lp_t_star(cone, direction):
+    """The largest smallest coefficient of a combination of the hull rays
+    equal to the unit direction, by linprog; None if there is none."""
+    hull = np.array([h.coords for h in cone.hull]).T
+    m = hull.shape[1]
+    res = linprog(
+        np.r_[np.zeros(m), -1.0],
+        A_ub=np.hstack([-np.eye(m), np.ones((m, 1))]),
+        b_ub=np.zeros(m),
+        A_eq=np.hstack([hull, np.zeros((len(hull), 1))]),
+        b_eq=direction / np.linalg.norm(direction),
+        bounds=[(None, None)] * (m + 1),
+        method="highs",
+    )
+    return -res.fun if res.success else None
+
+
+def _lp_calls(monkeypatch):
+    calls = []
+    real = scipy.optimize.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counting)
+    return calls
+
+
+def _decisions(cone, directions):
+    ours = [cone_interior(cone, d) for d in directions]
+    oracle = [t is not None and t > CONE_MARGIN for t in (_lp_t_star(cone, d) for d in directions)]
+    return ours, oracle
+
+
+def test_cone_interior_matches_the_lp_on_a_simplicial_hull(cone_family, monkeypatch):
+    cone = limit_cone(cone_family, 4)
+    h0, h1 = (h.coords for h in cone.hull)
+    directions = list(cone.rays.coords) + [np.array([1.0, 0.8, -1.8])]
+    # just inside and just outside the hull ray h0, and inside by less than the margin
+    directions += [h0 + s * CONE_MARGIN * (h1 - h0) for s in (2.0, -2.0, 0.5)]
+    directions.append(h0 + h1 + 1e-3)  # off the sum-zero plane
+    calls = _lp_calls(monkeypatch)
+    ours, oracle = _decisions(cone, directions)
+    assert ours == oracle
+    assert ours[-4:] == [True, False, False, False]
+    assert sum(ours) > 0 and not all(ours)
+    # the closed form decided every direction; the oracle's linprog was bound at import
+    assert calls == []
+
+
+def test_cone_interior_keeps_the_lp_for_more_than_n_minus_one_rays(sl4_family, monkeypatch):
+    cone = limit_cone(sl4_family, 4)
+    assert len(cone.hull) > 3
+    hull = np.array([h.coords for h in cone.hull])
+    directions = list(cone.rays.coords) + [hull.mean(axis=0), hull[0] - 0.1 * hull.mean(axis=0)]
+    calls = _lp_calls(monkeypatch)
+    ours, oracle = _decisions(cone, directions)
+    assert ours == oracle
+    assert ours[-2:] == [True, False]
+    assert len(calls) == len(directions)  # one LP per cone_interior call
 
 
 def test_sign_group_of_engineered_pair(sign_family):
@@ -577,6 +648,36 @@ def test_line_density_probe_checks_theta_before_sweeping(cone_family, monkeypatc
     monkeypatch.setattr(schottky_dynamics, "_batched_qr_positive", no_sweep)
     with pytest.raises(ValueError, match=message):
         jordan_line_density_probe(cone_family, CartanVector(np.array(coords)), (10.0, 60.0), 4)
+
+
+@pytest.mark.parametrize(
+    "window, shown",
+    [
+        ((1.0,), r"\[1\.0\]"),
+        ((20.0, 1.0), r"\[20\.0, 1\.0\]"),
+        ((np.nan, 1.0), r"\[nan, 1\.0\]"),
+        ((1.0, np.inf), r"\[1\.0, inf\]"),
+        ((1.0, 2.0, 3.0), r"\[1\.0, 2\.0, 3\.0\]"),
+    ],
+    ids=["one-number", "lo-above-hi", "nan", "inf", "three-numbers"],
+)
+def test_line_density_probe_checks_window_before_sweeping(cone_family, monkeypatch, window, shown):
+    def no_sweep(frames):
+        raise AssertionError("the word engine ran")
+
+    monkeypatch.setattr(schottky_dynamics, "_batched_qr_positive", no_sweep)
+    theta = CartanVector(np.array([1.0, 0.2, -1.2]))
+    with pytest.raises(ValueError, match=rf"^window = {shown} is not two finite numbers lo <= hi$"):
+        jordan_line_density_probe(cone_family, theta, window, 4)
+
+
+def test_line_density_probe_reports_no_gap_below_two_hits(cone_family):
+    # along the first generator's ray, its powers hit t = 11.58 k
+    theta = cone_family.generators[0].lam
+    for window, hits in [((10.0, 20.0), 1), ((12.0, 20.0), 0)]:
+        stats = jordan_line_density_probe(cone_family, theta, window, 3, delta0=0.5)
+        assert stats["hits"] == hits
+        assert stats["max_gap"] is None and stats["mean_gap"] is None
 
 
 def test_chamber_coords_are_isometric():
