@@ -11,14 +11,16 @@ keeps, per delta/4 grid cell not yet in a set of exact integer cell keys,
 the first point in (frontier index, step index) order, which is the
 first-visit order of a node-by-node BFS.  A step moves one coefficient by
 +-1, so the coefficient bound is tested only past level coeff_bound.
-Both check their grid centres with one KD-tree query, _coverage.  A
+Both check their grid centres with _coverage, on the neighbour search
+_near_pairs: the points binned on a grid as wide as delta, each centre
+compared with the points of its 3^(d + k) neighbouring bins only.  A
 certificate keeps the BFS output and the centres as read-only arrays.
 verify_certificate replays a certificate in arrays, one V-slice of cell
 centres at a time, and checks that every recorded point is the combination
 of the subset its coefficients claim, within the limits of the
 certificate's kind (nonnegative coefficients for a semigroup, at most
 3d + 2k generators for a group); it shares no code with the BFS or the
-KD-trees.
+neighbour search.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotDenseAtBudget
+from .errors import BudgetExceeded, NotDenseAtBudget
 
 COEFF_BOUND = 1000   # largest |coefficient| the (semi)group enumeration reaches
 
@@ -80,20 +82,6 @@ class DensityCertificate:
             object.__setattr__(self, name, arr)
 
 
-def _build_tree(points: np.ndarray, k: int):
-    """KD-tree over the [v | c] rows of points with every torus coordinate
-    replicated at shifts -1, 0, +1; owner[j] is the point behind tree row j."""
-    from scipy.spatial import cKDTree
-
-    n, d = points.shape[0], points.shape[1] - k
-    # the 3^k shift vectors, first coordinate slowest
-    shifts = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=k)))
-    v = np.broadcast_to(points[:, None, :d], (n, len(shifts), d))
-    c = points[:, None, d:] + shifts
-    data = np.concatenate([v, c], axis=2).reshape(n * len(shifts), d + k)
-    return cKDTree(data), np.repeat(np.arange(n), len(shifts))
-
-
 def _grid_centers(window: np.ndarray, k: int, step: float):
     """Cell centers of the window box times the full torus at the given step."""
     axes = []
@@ -107,14 +95,124 @@ def _grid_centers(window: np.ndarray, k: int, step: float):
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
+_EXACT_BINS = 2.0 ** 52   # bin indices past this are not exact in a float64 floor
+_BLOCK = 1 << 15          # distances the neighbour search holds at once
+
+
+def _wrap_distance(p, q, d: int, shape: tuple) -> np.ndarray:
+    """Distance between [v | c] points: p and q yield, coordinate by
+    coordinate, arrays of the two sides that broadcast to shape.  Each torus
+    coordinate is compared by its wrap-around difference
+    min(|dc|, 1 - |dc|), which is verify_certificate's
+    min(|dc| mod 1, 1 - ...) for torus coordinates in [0, 1], as TorusPoint
+    and the BFS reduce them.  As in verify_certificate, the V squares and the
+    torus squares are each summed coordinate by coordinate, in order, and
+    the two sums then added."""
+    sq = np.zeros((2,) + shape)
+    for a, (pa, qa) in enumerate(zip(p, q)):
+        diff = pa - qa
+        np.abs(diff, out=diff)
+        if a >= d:
+            np.minimum(diff, 1.0 - diff, out=diff)
+        diff *= diff
+        sq[int(a >= d)] += diff
+    return np.sqrt(sq[0] + sq[1])
+
+
+def _near_pairs(points: np.ndarray, k: int, queries: np.ndarray, radius: float):
+    """(qi, pj, dist): every query, point pair within radius of each other,
+    at _wrap_distance, grouped by query in query order.
+
+    The points are binned with side radius on the V axes and in
+    floor(1 / radius) wrapped bins, each at least radius wide, on the torus
+    axes, so a point within radius of a query lies in one of the 3^(d + k)
+    bins around the query's own; a torus axis of at most 2 bins offers
+    each of its bins once, where the three offsets would meet after
+    wrapping.  Each axis numbers only its occupied bins, so the mixed-radix
+    bin key stays below the product of those counts.  BudgetExceeded when
+    that product leaves int64, or a bin index the exact integers of float64.
+    Distances are taken for blocks of queries with about _BLOCK candidate
+    pairs each, so memory stays bounded however many pairs there are.
+    """
+    n, dim = points.shape
+    d, m = dim - k, len(queries)
+    slots = max(1.0, np.floor(1.0 / radius))   # torus bins per unit
+    point_key = np.zeros(n, dtype=np.int64)
+    query_keys = np.zeros((m, 1), dtype=np.int64)   # -1: no occupied bin
+    span = 1
+    for a in range(dim):
+        if a < d:
+            pb, qb = np.floor(points[:, a] / radius), np.floor(queries[:, a] / radius)
+            near = qb[:, None] + (-1.0, 0.0, 1.0)
+        else:
+            pb, qb = np.floor(points[:, a] * slots) % slots, np.floor(queries[:, a] * slots) % slots
+            near = (qb[:, None] + ((-1.0, 0.0, 1.0) if slots > 2 else np.arange(slots))) % slots
+        occupied = np.unique(pb)
+        span *= len(occupied)
+        top = max(np.abs(pb).max(), np.abs(qb).max(initial=0.0), slots if a >= d else 0.0)
+        if not top < _EXACT_BINS or span >= 2**63:
+            raise BudgetExceeded(
+                f"neighbour search at radius {radius}: the bins of {n} points and {m} queries "
+                "leave the exact integer range"
+            )
+        pos = np.searchsorted(occupied, near)
+        hit = occupied[np.minimum(pos, len(occupied) - 1)] == near
+        point_key = point_key * len(occupied) + np.searchsorted(occupied, pb)
+        query_keys = np.where(
+            (query_keys[:, :, None] >= 0) & hit[:, None, :],
+            query_keys[:, :, None] * len(occupied) + pos[:, None, :],
+            -1,
+        ).reshape(m, -1)
+    order = np.argsort(point_key, kind="stable")
+    sorted_keys = point_key[order]
+    sorted_t = np.ascontiguousarray(points[order].T)
+    queries_t = np.ascontiguousarray(queries.T)
+    # a key of -1 matches no point, since every point key is >= 0
+    lo = np.searchsorted(sorted_keys, query_keys, "left")
+    counts = np.searchsorted(sorted_keys, query_keys, "right") - lo
+    step = max(1, m * _BLOCK // max(1, int(counts.sum())))   # queries per block
+    found = []
+    for q0 in range(0, m, step):
+        block_lo, block_counts = lo[q0 : q0 + step].ravel(), counts[q0 : q0 + step].ravel()
+        ends = np.cumsum(block_counts)
+        rows = np.arange(ends[-1]) + np.repeat(block_lo - ends + block_counts, block_counts)
+        per_query = counts[q0 : q0 + step].sum(axis=1)
+        p = (col[rows] for col in sorted_t)
+        q = (np.repeat(col[q0 : q0 + step], per_query) for col in queries_t)
+        dist = _wrap_distance(p, q, d, rows.shape)
+        within = np.flatnonzero(dist <= radius)
+        qi = q0 + np.searchsorted(np.cumsum(per_query), within, "right")
+        found.append((qi, order[rows[within]], dist[within]))
+    return tuple(np.concatenate(parts) for parts in zip(*found))
+
+
+def _nearest_distance(points: np.ndarray, k: int, queries: np.ndarray) -> np.ndarray:
+    """Distance from each query to its nearest point, at _wrap_distance, by a
+    scan of all points, a block of about _BLOCK distances at a time."""
+    d = points.shape[1] - k
+    step = max(1, _BLOCK // max(1, len(points)))
+    return np.concatenate(
+        [
+            _wrap_distance(points.T[:, None, :], chunk.T[:, :, None], d, (len(chunk), len(points)))
+            .min(axis=1, initial=np.inf)
+            for chunk in np.split(queries, np.arange(step, len(queries), step))
+        ]
+    )
+
+
 def _coverage(points: np.ndarray, k: int, centers: np.ndarray, delta: float):
     """(covered, farthest (center, distance)): is every center within delta of
-    a point, on the torus-replicated KD-tree of the [v | c] rows?"""
-    tree, _ = _build_tree(points, k)
-    dists, _ = tree.query(centers)
-    worst = int(np.argmax(dists))
-    covered = bool(dists[worst] <= delta)
-    return covered, (tuple(float(x) for x in centers[worst]), float(dists[worst]))
+    a point?  A center with no point within delta gets its exact nearest
+    distance from a scan of all points."""
+    qi, _, dist = _near_pairs(points, k, centers, delta)
+    first = np.flatnonzero(np.diff(qi, prepend=-1))
+    nearest = np.full(len(centers), np.inf)
+    nearest[qi[first]] = np.minimum.reduceat(dist, first)
+    lonely = np.flatnonzero(np.isinf(nearest))
+    nearest[lonely] = _nearest_distance(points, k, centers[lonely])
+    worst = int(np.argmax(nearest))
+    covered = bool(nearest[worst] <= delta)
+    return covered, (tuple(float(x) for x in centers[worst]), float(nearest[worst]))
 
 
 def _generated_group(
@@ -210,6 +308,12 @@ def _greedy_v_basis(E: list, d: int) -> list:
     return chosen
 
 
+def _check_delta(delta) -> None:
+    """ValueError unless delta is finite and > 0."""
+    if not (np.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta = {delta}: the covering radius must be finite and > 0")
+
+
 def select_dense_subgroup_generators(
     E: list,
     delta: float,
@@ -217,6 +321,7 @@ def select_dense_subgroup_generators(
 ) -> DensityCertificate:
     """Pick at most 3d + 2k elements of E whose generated group delta-covers
     window x torus (verified on a grid of step delta / 2)."""
+    _check_delta(delta)
     d, k = _common_shape(E)
     window = _window_box(window, d)
     step = delta / 2.0
@@ -313,7 +418,7 @@ def _provenance_holds(cert: DensityCertificate, pv: np.ndarray, pc: np.ndarray) 
 
 
 def verify_certificate(cert: DensityCertificate) -> bool:
-    """Independent replay of a covering certificate, with no trees.
+    """Independent replay of a covering certificate, without the neighbour search.
 
     True iff every certified cell centre lies within delta of a recorded
     point and every recorded point is the combination of the subset that
@@ -342,17 +447,34 @@ def verify_certificate(cert: DensityCertificate) -> bool:
     return True
 
 
-CONE_MEMBERSHIP_TOL = 1e-9   # absolute nnls residual floor of _cone_membership
+CONE_MEMBERSHIP_TOL = 1e-9   # absolute distance floor of _cone_membership
 
 
-def _cone_membership(vf_dirs: np.ndarray, w: np.ndarray) -> bool:
-    """Is w a nonnegative combination of the columns of vf_dirs?"""
-    from scipy.optimize import nnls
+def _cone_membership(vf_dirs: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Which rows w of the (P, d) stack W are nonnegative combinations of the
+    m columns of vf_dirs?  Those with |w| < CONE_MEMBERSHIP_TOL, or within
+    max(CONE_MEMBERSHIP_TOL, 1e-7 |w|) of the cone.
 
-    if np.linalg.norm(w) < CONE_MEMBERSHIP_TOL:
-        return True
-    coeffs, resid = nnls(vf_dirs, w)
-    return resid <= max(CONE_MEMBERSHIP_TOL, 1e-7 * np.linalg.norm(w))
+    The distance to the cone is the least of |w| and, over the linearly
+    independent column subsets S with |S| <= min(m, d) whose least-squares
+    coefficients for w are all >= 0, the residual of projecting w onto
+    span(S).  Each such projection lies in the cone.  Conversely the nearest
+    point of the cone lies in the relative interior of a face, so it is the
+    projection of w onto that face's span, and triangulating the face gives
+    an independent S spanning it with the nearest point in cone(S).  That is
+    sum_{j=1}^{min(m, d)} C(m, j) least-squares solves, each for every row.
+    """
+    d, m = vf_dirs.shape
+    norms = np.linalg.norm(W, axis=1)
+    dist = norms.copy()
+    for size in range(1, min(m, d) + 1):
+        for cols in itertools.combinations(range(m), size):
+            basis = vf_dirs[:, cols]
+            coeffs, _, rank, _ = np.linalg.lstsq(basis, W.T, rcond=None)
+            if rank == size:
+                resid = np.linalg.norm(W.T - basis @ coeffs, axis=0)
+                dist = np.where((coeffs >= 0).all(axis=0), np.minimum(dist, resid), dist)
+    return (norms < CONE_MEMBERSHIP_TOL) | (dist <= np.maximum(CONE_MEMBERSHIP_TOL, 1e-7 * norms))
 
 
 def semigroup_cone_density(
@@ -365,6 +487,7 @@ def semigroup_cone_density(
 
     Returns (v_F, DensityCertificate).
     """
+    _check_delta(delta)
     d, k = _common_shape(F)
     window = _window_box(window, d)
     step = delta / 2.0
@@ -385,19 +508,17 @@ def semigroup_cone_density(
     queries = np.concatenate(
         [np.repeat(targets, len(shifts), axis=0), np.tile(shifts, (len(targets), 1))], axis=1
     )
-    tree, owner = _build_tree(group_pts, k)
+    qi, pj, _ = _near_pairs(group_pts, k, queries, delta)
+    first = np.flatnonzero(np.diff(qi, prepend=-1))
+    if len(first) < len(queries):
+        q = queries[np.setdiff1d(np.arange(len(queries)), qi[first])[0]]
+        dist = _nearest_distance(group_pts, k, q[None])[0]
+        raise NotDenseAtBudget(f"group of F is not delta-dense near {q[:d]} (distance {dist:.4f})")
     # X: for each query, the group point within delta whose coefficient
     # vector is least negative: it minimizes the corrective power of h and
     # hence the size of v_F.  Only the worst such negativity is needed.
     negativity = np.maximum(0, -group_coeffs.min(axis=1))
-    worst_negative = 0
-    for q, near in zip(queries, tree.query_ball_point(queries, delta)):
-        if not near:
-            dist, _ = tree.query(q)
-            raise NotDenseAtBudget(
-                f"group of F is not delta-dense near {q[:d]} (distance {dist:.4f})"
-            )
-        worst_negative = max(worst_negative, int(negativity[owner[near]].min()))
+    worst_negative = int(np.minimum.reduceat(negativity[pj], first).max())
     # 2. h with h + X inside the semigroup: large positive coefficients
     vf_dirs = np.array([f.v for f in F]).T
     # 3. certify delta-covering of (v_F + cone) on the window *relative to
@@ -420,7 +541,7 @@ def semigroup_cone_density(
         centers = _grid_centers(abs_window, k, step)
         # membership reads only the V-part, which the torus axes share
         parts, part_of = np.unique(centers[:, :d], axis=0, return_inverse=True)
-        inside = np.array([_cone_membership(vf_dirs, u - v_f) for u in parts], dtype=bool)
+        inside = _cone_membership(vf_dirs, parts - v_f)
         keep = centers[inside[part_of.reshape(-1)]]
         if not len(keep):
             raise NotDenseAtBudget("window does not meet the translated cone")

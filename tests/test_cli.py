@@ -115,6 +115,16 @@ def test_density_rejects_a_window_of_the_wrong_dimension(workdir, variant, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("variant", ["select", "cone"])
+@pytest.mark.parametrize("delta", ["0", "-0.1", "nan", "inf"])
+def test_density_refuses_a_bad_delta(workdir, variant, delta, capsys):
+    out = workdir / "d.json"
+    argv = ["density", variant, "--input", str(workdir / "pts.json"), f"--delta={delta}", "--window", "0,2"]
+    assert _run(argv, out) == 2
+    assert "the covering radius must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_density_failure_reports_farthest_cell(workdir):
     path = workdir / "lattice.json"
     path.write_text(json.dumps({"points": [{"v": [1.0]}]}))

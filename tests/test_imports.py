@@ -7,9 +7,10 @@ through functools.cache), the library reads no NumPy name that
 NumPy 1.24, the declared floor, lacks, no random stream is rewound
 by assigning its bit generator's state, no module imports SciPy
 outside a function or class body, so that importing the package and its
-CLI loads no SciPy module (nor do the word routines at n = 3), and only
-`word_spectrum` and `stable_word_lambdas` run the word engine
-`_necklace_sweep`."""
+CLI loads no SciPy module (nor do the word routines at n = 3, nor the
+density routines), only `word_spectrum` and `stable_word_lambdas` run the
+word engine `_necklace_sweep`, and the density certificate replay reads
+none of the routines that built the certificate."""
 
 import ast
 import os
@@ -296,6 +297,71 @@ def test_the_word_routines_load_no_scipy_module_at_n_3():
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_the_density_routines_load_no_scipy_module():
+    # a d = k = 1 pair like the density benchmark's, and PLANAR (d = 2, k = 1)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import chamberflow as cf\n"
+        "T = cf.TorusPoint\n"
+        "pair = [T([1.0], [-0.27747906604368544]), T([0.44504186791262923], [2.1234898018587334])]\n"
+        "planar = [T([1.0, 0.0], [0.3]), T([1.0, 1.0], [(5 ** 0.5 - 1) / 2]),\n"
+        "          T([2 ** 0.5, 3 ** 0.5 - 1.0], [0.0])]\n"
+        "certs = [cf.select_dense_subgroup_generators(pair, 0.1, [(-1.0, 1.0)]),\n"
+        "         cf.semigroup_cone_density(pair, 0.1, [(0.0, 3.0)])[1],\n"
+        "         cf.select_dense_subgroup_generators(planar, 0.6, [(0.0, 2.0), (0.0, 2.0)]),\n"
+        "         cf.semigroup_cone_density(planar, 0.6, [(0.0, 2.0), (0.0, 2.0)])[1]]\n"
+        "assert all(c.covered and cf.verify_certificate(c) for c in certs)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+REPLAY = ("verify_certificate", "_provenance_holds")
+BUILDERS = {"_near_pairs", "_coverage", "_generated_group"}
+
+
+def _builders_read_by(tree, roots):
+    """The names in BUILDERS that the top-level functions roots read, as a
+    name or as an attribute, directly or through the module's other
+    top-level functions that they read."""
+    defs = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    seen, todo, found = set(), list(roots), set()
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in defs:
+            continue
+        seen.add(name)
+        for node in ast.walk(defs[name]):
+            read = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if read in BUILDERS:
+                found.add(read)
+            elif read in defs:
+                todo.append(read)
+    return sorted(found)
+
+
+def test_the_density_replay_reads_no_builder():
+    tree = ast.parse((SRC / "torus_density.py").read_text())
+    defs = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert set(REPLAY) | BUILDERS <= defs
+    assert _builders_read_by(tree, REPLAY) == []
+
+
+def test_the_check_sees_a_replay_that_reads_a_builder():
+    tree = ast.parse(
+        "def _coverage(points):\n    return True\n\n"
+        "def _helper(points):\n    return _coverage(points)\n\n"
+        "def verify_certificate(cert):\n    return _helper(cert.points)\n\n"
+        "def _provenance_holds(cert, mod):\n    return mod._generated_group is None\n\n"
+        "def unrelated():\n    return _near_pairs\n"
+    )
+    assert _builders_read_by(tree, REPLAY) == ["_coverage", "_generated_group"]
 
 
 ENGINE = "_necklace_sweep"

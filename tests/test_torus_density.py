@@ -1,17 +1,20 @@
 import dataclasses
 import functools
+import itertools
 
 import numpy as np
 import pytest
 
 from chamberflow import torus_density
-from chamberflow.errors import NotDenseAtBudget
+from chamberflow.errors import BudgetExceeded, NotDenseAtBudget
 from chamberflow.schottky_dynamics import build_schottky
 from chamberflow.torus_density import (
     DensityCertificate,
     TorusPoint,
+    CONE_MEMBERSHIP_TOL,
     _cone_membership,
     _generated_group,
+    _near_pairs,
     jordan_density_bridge,
     select_dense_subgroup_generators,
     semigroup_cone_density,
@@ -319,12 +322,13 @@ def test_shrunk_delta_reaches_the_uncovered_branch():
 
 
 def test_cone_membership_runs_once_per_v_part(monkeypatch):
+    # one stacked call per attempt, on exactly the distinct V-parts of its grid
     calls, grids = [], []
     grid_centers = torus_density._grid_centers
 
-    def counted_membership(vf_dirs, w):
-        calls.append(w)
-        return _cone_membership(vf_dirs, w)
+    def counted_membership(vf_dirs, W):
+        calls.append(W)
+        return _cone_membership(vf_dirs, W)
 
     def recorded_grid(window, k, step):
         grids.append(grid_centers(window, k, step))
@@ -334,12 +338,14 @@ def test_cone_membership_runs_once_per_v_part(monkeypatch):
     monkeypatch.setattr(torus_density, "_grid_centers", recorded_grid)
     v_f, cert = semigroup_cone_density(PLANAR, 0.6, [(0.0, 2.0), (0.0, 2.0)])
     d = 2
-    assert len(calls) == sum(len(np.unique(g[:, :d], axis=0)) for g in grids)
-    assert len(calls) < sum(len(g) for g in grids)
+    assert len(calls) == len(grids)
+    assert [len(W) for W in calls] == [len(np.unique(g[:, :d], axis=0)) for g in grids]
+    assert all(len(W) < len(g) for W, g in zip(calls, grids))
+    assert np.array_equal(calls[-1], np.unique(grids[-1][:, :d], axis=0) - v_f)
     # the centres kept are those of a per-centre membership test on the last grid
     vf_dirs = np.array([f.v for f in PLANAR]).T
-    expected = [c for c in grids[-1] if _cone_membership(vf_dirs, c[:d] - v_f)]
-    assert np.array_equal(cert.centers, np.array(expected))
+    expected = grids[-1][_cone_membership(vf_dirs, grids[-1][:, :d] - v_f)]
+    assert np.array_equal(cert.centers, expected)
 
 
 def test_select_builds_its_grid_once(monkeypatch):
@@ -430,3 +436,150 @@ def test_replay_rejects_a_tampered_certificate(name, tamper):
     cert = _certificate(name)
     assert verify_certificate(cert) is True
     assert verify_certificate(tamper(cert, len(cert.points) // 2)) is False
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.1, np.nan, np.inf], ids=["zero", "negative", "nan", "inf"])
+@pytest.mark.parametrize("call", [select_dense_subgroup_generators, semigroup_cone_density])
+def test_density_refuses_a_bad_delta_before_any_work(call, delta, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work started before delta was checked")
+
+    monkeypatch.setattr(torus_density, "_generated_group", no_work)
+    monkeypatch.setattr(torus_density, "_grid_centers", no_work)
+    with pytest.raises(ValueError, match="must be finite and > 0"):
+        call(CIRCLE, delta, [(0.0, 1.0)])
+
+
+def _all_pairs_within(points, k, queries, radius):
+    """Reference: (query, point, distance) for every pair within radius, all pairs scanned."""
+    d = points.shape[1] - k
+    dv2 = ((points[None, :, :d] - queries[:, None, :d]) ** 2).sum(axis=2)
+    wrap = np.abs(points[None, :, d:] - queries[:, None, d:]) % 1.0
+    dist = np.sqrt(dv2 + (np.minimum(wrap, 1.0 - wrap) ** 2).sum(axis=2))
+    qi, pj = np.nonzero(dist <= radius)
+    return qi, pj, dist[qi, pj]
+
+
+def _assert_pairs_match(points, k, queries, radius):
+    qi, pj, dist = _near_pairs(points, k, queries, radius)
+    assert np.all(np.diff(qi) >= 0)   # grouped by query
+    found = sorted(zip(qi.tolist(), pj.tolist(), dist.tolist()))
+    assert len(set((q, p) for q, p, _ in found)) == len(found)   # no pair twice
+    assert found == sorted(zip(*(a.tolist() for a in _all_pairs_within(points, k, queries, radius))))
+    return len(found)
+
+
+def _edge_rows(rng, n, d, k, radius):
+    """Rows on bin edges: V at multiples of radius, torus at multiples of
+    1 / floor(1 / radius), at 0, and just inside 0 and 1."""
+    slots = max(1, int(1.0 / radius))
+    v = radius * rng.integers(-4, 5, size=(n, d))
+    torus_edges = np.concatenate([np.arange(slots) / slots, [0.0, 1e-12, 1.0 - 1e-12, np.nextafter(1.0, 0.0)]])
+    return np.concatenate([v, rng.choice(torus_edges, size=(n, k))], axis=1)
+
+
+@pytest.mark.parametrize("radius", [0.25, 0.3, 0.5, 0.7, 1.5])
+@pytest.mark.parametrize("d, k", list(itertools.product([0, 1, 2], [0, 1, 2])))
+def test_near_pairs_matches_all_pairs(d, k, radius):
+    rng = np.random.default_rng(100 * d + 10 * k + int(10 * radius))
+    def rows(n):
+        return np.concatenate([rng.uniform(-1.0, 1.0, size=(n, d)), rng.uniform(0.0, 1.0, size=(n, k))], axis=1)
+
+    points = np.concatenate([rows(60), _edge_rows(rng, 40, d, k, radius)])
+    queries = np.concatenate([rows(30), _edge_rows(rng, 30, d, k, radius), points[:10]])
+    assert _assert_pairs_match(points, k, queries, radius) > 0
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_near_pairs_over_a_spread_past_a_raw_int64_key(k):
+    # 3e9 / 1e-6 = 3e15 bins a V axis: a raw radix key over two axes would need 9e30
+    rng = np.random.default_rng(7)
+    corners = np.array([[0.0, 0.0], [3e9, 0.0], [0.0, 3e9], [3e9, 3e9]])
+    v = np.repeat(corners, 15, axis=0) + rng.uniform(-2e-6, 2e-6, size=(60, 2))
+    points = np.concatenate([v, rng.uniform(0.0, 1.0, size=(60, k))], axis=1)
+    queries = points[::3] + np.concatenate([np.full((20, 2), 5e-7), np.zeros((20, k))], axis=1)
+    assert _assert_pairs_match(points, k, queries, 1e-6) > 0
+
+
+def test_near_pairs_refuses_bins_past_the_exact_integers():
+    points = np.array([[0.0], [1e10]])
+    with pytest.raises(BudgetExceeded, match="exact integer range"):
+        _near_pairs(points, 0, points, 1e-7)
+
+
+@pytest.mark.parametrize("d, k", [(0, 1), (1, 0), (1, 1), (2, 1), (1, 2)])
+def test_coverage_matches_an_all_pairs_scan(d, k):
+    rng = np.random.default_rng(10 * d + k)
+    points = np.concatenate([rng.uniform(-1.0, 1.0, (40, d)), rng.uniform(0.0, 1.0, (40, k))], axis=1)
+    centers = np.concatenate([rng.uniform(-1.5, 1.5, (200, d)), rng.uniform(0.0, 1.0, (200, k))], axis=1)
+    _, _, dist = _all_pairs_within(points, k, centers, np.inf)
+    nearest = dist.reshape(len(centers), len(points)).min(axis=1)
+    worst = int(np.argmax(nearest))
+    # no centre within delta of a point, some, and all
+    for delta in (1e-3, 0.3, 3.0):
+        covered, (center, distance) = torus_density._coverage(points, k, centers, delta)
+        assert covered is bool(nearest[worst] <= delta)
+        assert center == tuple(centers[worst]) and distance == nearest[worst]
+
+
+def test_cone_refusal_names_the_exact_nearest_distance():
+    # the lattice Z misses the zonotope target 3/7 by 3/7
+    with pytest.raises(NotDenseAtBudget, match=r"near \[0\.42857143\] \(distance 0\.4286\)"):
+        semigroup_cone_density([TorusPoint([1.0], [])], 0.3, [(0.0, 2.0)])
+
+
+def _nnls_membership(vf_dirs, W):
+    """Reference: the rule of _cone_membership on SciPy's NNLS residual."""
+    from scipy.optimize import nnls
+
+    norms = np.linalg.norm(W, axis=1)
+    resid = np.array([nnls(vf_dirs, w)[1] for w in W])
+    return (norms < CONE_MEMBERSHIP_TOL) | (resid <= np.maximum(CONE_MEMBERSHIP_TOL, 1e-7 * norms))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cone_membership_matches_nnls_on_random_cones(d, m):
+    rng = np.random.default_rng(10 * d + m)
+    for _ in range(5):
+        vf_dirs = rng.standard_normal((d, m))
+        inside = rng.uniform(0.0, 2.0, size=(100, m)) @ vf_dirs.T
+        W = np.concatenate([rng.standard_normal((200, d)), inside, np.zeros((1, d))])
+        assert np.array_equal(_cone_membership(vf_dirs, W), _nnls_membership(vf_dirs, W))
+
+
+@pytest.mark.parametrize(
+    "vf_dirs",
+    [
+        np.array([[1.0, -1.0]]),                                  # the whole line
+        np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]]),            # a half-plane
+        np.array([[1.0, 2.0], [1.0, 2.0]]),                       # parallel columns
+        np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0]]),   # rank 2 in R^3
+        np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 1.0], [1.0, 1.0, 2.0, 2.0]]),
+    ],
+    ids=["line", "half-plane", "parallel", "rank-2-in-3", "repeated-column"],
+)
+def test_cone_membership_matches_nnls_on_degenerate_cones(vf_dirs):
+    d, m = vf_dirs.shape
+    rng = np.random.default_rng(m)
+    inside = rng.uniform(0.0, 2.0, size=(100, m)) @ vf_dirs.T
+    W = np.concatenate([rng.standard_normal((200, d)), inside, np.zeros((1, d))])
+    got = _cone_membership(vf_dirs, W)
+    assert np.array_equal(got, _nnls_membership(vf_dirs, W))
+    assert got[-101:].all()   # the nonnegative combinations and w = 0
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3], ids=["relative-tol", "absolute-tol"])
+def test_cone_membership_at_twice_the_tolerance_from_a_facet(scale):
+    # the cone between e1 and (1, 1); its facets lie on those two rays
+    vf_dirs = np.array([[1.0, 1.0], [0.0, 1.0]])
+    along = scale * np.linspace(0.1, 2.0, 20)
+    tol = np.maximum(CONE_MEMBERSHIP_TOL, 1e-7 * along)
+    below = np.stack([along, 2 * tol], axis=1), np.stack([along, -2 * tol], axis=1)
+    diagonal = along[:, None] * np.sqrt(0.5) * np.array([1.0, 1.0])
+    normal = np.sqrt(0.5) * np.array([1.0, -1.0])
+    beside = diagonal + 2 * tol[:, None] * normal, diagonal - 2 * tol[:, None] * normal
+    for W, expected in zip(below + beside, [True, False, True, False]):
+        got = _cone_membership(vf_dirs, W)
+        assert np.array_equal(got, _nnls_membership(vf_dirs, W))
+        assert got.all() if expected else not got.any()
