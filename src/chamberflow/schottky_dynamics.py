@@ -4,6 +4,7 @@ component-label transport, and decorrelation checks.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +78,10 @@ def build_schottky(
 
     A power shares its fixed flags with the seed, so the margins are
     decided before any power is certified; a non-transverse pair has
-    margin 0 and is refused with the rest."""
+    margin 0 and is refused with the rest. An empty seed list raises
+    ValueError."""
+    if len(seeds) == 0:
+        raise ValueError("a Schottky family needs at least one seed")
     classified = [classify(GroupElement(s) if isinstance(s, np.ndarray) else s, config) for s in seeds]
     for i, a in enumerate(classified):
         for j, b in enumerate(classified[:i]):
@@ -140,9 +144,10 @@ def _planar_hull(dirs: np.ndarray) -> np.ndarray:
 
 
 def _word_array(num_gens: int, length: int) -> np.ndarray:
-    """All words of exactly `length` letters as an (N, length) index array,
-    in lexicographic order; column j holds the j-th applied letter."""
-    grids = np.indices((num_gens,) * length)
+    """All words of exactly `length` letters as an (N, length) index array
+    of the smallest integer dtype, in lexicographic order; column j holds
+    the j-th applied letter."""
+    grids = np.indices((num_gens,) * length, dtype=np.min_scalar_type(num_gens - 1))
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
@@ -194,7 +199,70 @@ def _necklace_index(num_gens: int, length: int):
     return np.unique(least, return_inverse=True)
 
 
-def _necklace_sweep(mats: list, max_len: int, min_len: int = 1) -> list:
+@dataclass(frozen=True)
+class _SweepSchedule:
+    """The part of a `_necklace_sweep` that depends only on the generator
+    count and the word lengths, as read-only tables. Rows are the
+    necklaces of every length, shortest length first."""
+
+    lengths: range
+    bounds: np.ndarray     # (len(lengths) + 1,) row bounds of each length
+    inverses: tuple        # per length: the row of each word's necklace
+    words: tuple           # per length: `_word_array` of that length
+    swept: np.ndarray      # (rows, max_len) least rotations, zero-padded
+    letters: np.ndarray    # (steps, rows) letter each row applies per step
+    waiting: np.ndarray    # (steps, rows, 1, 1) the row has not started
+    starting: np.ndarray   # (steps, rows, 1, 1) the row's last period starts
+    measuring: np.ndarray  # (steps, rows, 1) the row is in its last period
+
+
+# A run sweeps a handful of (generator count, length range) keys, four in
+# the `words` benchmark (260 KB together), so 8 entries keep them all. Each
+# entry passed the max_words budget before it was built: its tables take
+# one byte per letter of its words and about four per necklace and step:
+# 4 MB for 2 generators at lengths 1..16, the longest the default allows.
+@functools.lru_cache(maxsize=8)
+def _sweep_schedule(num_gens: int, max_len: int, min_len: int) -> _SweepSchedule:
+    """The necklaces of the word lengths min_len..max_len and the step
+    tables of their sweep, built once per key and read-only."""
+    lengths = range(min_len, max_len + 1)
+    necklaces = [_necklace_index(num_gens, k) for k in lengths]
+    words = [_word_array(num_gens, k) for k in lengths]
+    bounds = np.cumsum([0] + [len(reps) for reps, _ in necklaces])
+    lens = np.repeat(lengths, np.diff(bounds))
+    swept = np.zeros((len(lens), max_len), dtype=words[0].dtype)
+    for (reps, _), word, lo, hi in zip(necklaces, words, bounds, bounds[1:]):
+        swept[lo:hi, : word.shape[1]] = word[reps]
+    span = (np.maximum(2, np.ceil(24.0 / lens).astype(int)) + 1) * lens
+    t = np.arange(span.max())[:, np.newaxis]
+    begin = t.size - span
+    measure_from = t.size - lens  # first step of the last period
+    schedule = _SweepSchedule(
+        lengths,
+        bounds,
+        tuple(inverse.astype(np.min_scalar_type(len(reps) - 1)) for reps, inverse in necklaces),
+        tuple(words),
+        swept,
+        swept[np.arange(len(lens)), (t - begin) % lens],
+        (t < begin)[:, :, np.newaxis, np.newaxis],
+        (t == measure_from)[:, :, np.newaxis, np.newaxis],
+        (t >= measure_from)[:, :, np.newaxis],
+    )
+    for table in (*schedule.inverses, *schedule.words, *vars(schedule).values()):
+        if isinstance(table, np.ndarray):
+            table.flags.writeable = False
+    return schedule
+
+
+@functools.cache
+def _start_frame(n: int) -> np.ndarray:
+    """The frame xi* every row of a sweep starts from, read-only."""
+    frame = np.linalg.qr(np.random.default_rng(12345).standard_normal((n, n)))[0]
+    frame.flags.writeable = False
+    return frame
+
+
+def _necklace_sweep(mats: list, max_len: int, min_len: int = 1, config: Config = DEFAULT_CONFIG) -> list:
     """Engine output (words, lambdas, signs) for each word length
     min_len..max_len, from one batched sweep over the necklace
     representatives of all of them, without ever forming a word product.
@@ -212,68 +280,68 @@ def _necklace_sweep(mats: list, max_len: int, min_len: int = 1) -> list:
     raw products overflow double precision. Rows of every length share
     each step's QR call: a row starts late enough to end on the last step
     and is held fixed until then, so it goes through the operations of a
-    sweep of its length alone, with the same bits.
+    sweep of its length alone, with the same bits. Which letter each row
+    applies at each step depends on the generator count and the lengths
+    only: `_sweep_schedule` builds those tables once per key.
 
     Since w F0 = F1 R with R upper triangular and positive on the
     diagonal, and F1 = F0 S on the attracting flag, F0^T w F0 = S R: the
     signs of the eigenvalues in decreasing modulus order are
     S = sign(diag(F0^T F1)). Each length's words come in lexicographic
-    order, of shape (N, length); the shortest length with a necklace whose
-    frame has not converged (|diag(F0^T F1)| < 1/2) raises NotLoxodromic.
-    A length below 1 raises ValueError.
+    order, of shape (N, length), as a fresh int64 array; the shortest
+    length with a necklace whose frame has not converged
+    (|diag(F0^T F1)| < 1/2) raises NotLoxodromic. A length below 1 raises
+    ValueError, and more words than config.max_words BudgetExceeded, both
+    before any table is built.
     """
     if min(min_len, max_len) < 1:
         raise ValueError(f"max_len = {max_len}: word lengths start at 1")
-    lengths = range(min_len, max_len + 1)
+    count = sum(len(mats) ** k for k in range(min_len, max_len + 1))
+    if count > config.max_words:
+        raise BudgetExceeded(f"{count} words exceeds the budget max_words = {config.max_words}")
     n = mats[0].shape[0]
-    necklaces = [_necklace_index(len(mats), k) for k in lengths]
-    bounds = np.cumsum([0] + [len(reps) for reps, _ in necklaces])
-    lens = np.repeat(lengths, np.diff(bounds))
-    rows = np.arange(len(lens))
-    swept = np.zeros((len(lens), max(lengths)), dtype=int)  # zero-padded
-    for k, (reps, _), lo, hi in zip(lengths, necklaces, bounds, bounds[1:]):
-        swept[lo:hi, :k] = _word_array(len(mats), k)[reps]
-    span = (np.maximum(2, np.ceil(24.0 / lens).astype(int)) + 1) * lens
-    steps = int(span.max())
-    begin = steps - span
-    measure_from = steps - lens  # first step of the last period
-    xi_star = np.linalg.qr(np.random.default_rng(12345).standard_normal((n, n)))[0]
-    frames = np.broadcast_to(xi_star, (len(lens), n, n)).copy()
+    schedule = _sweep_schedule(len(mats), max_len, min_len)
+    rows = len(schedule.swept)
+    frames = np.broadcast_to(_start_frame(n), (rows, n, n)).copy()
     start = frames
-    lam = np.zeros((len(lens), n))
+    lam = np.zeros((rows, n))
     stacked = np.asarray(mats)
-    for t in range(steps):
-        if (t == measure_from).any():
-            start = np.where((t == measure_from)[:, np.newaxis, np.newaxis], frames, start)
-        letters = swept[rows, (t - begin) % lens]
+    for letters, waiting, starting, measuring in zip(
+        schedule.letters, schedule.waiting, schedule.starting, schedule.measuring
+    ):
+        if starting.any():
+            start = np.where(starting, frames, start)
         moved, logs = _batched_qr_positive(stacked[letters] @ frames)
-        waiting = t < begin
-        frames = np.where(waiting[:, np.newaxis, np.newaxis], frames, moved) if waiting.any() else moved
-        lam += np.where((t >= measure_from)[:, np.newaxis], logs, 0.0)
+        frames = np.where(waiting, frames, moved) if waiting.any() else moved
+        lam += np.where(measuring, logs, 0.0)
     lam -= lam.mean(axis=1, keepdims=True)
     overlap = np.einsum("bij,bij->bj", start, frames)
     stalled = np.abs(overlap).min(axis=1) < 0.5
     signs = np.where(overlap < 0, -1, 1)
     out = []
-    for k, (_, inverse), lo, hi in zip(lengths, necklaces, bounds, bounds[1:]):
+    for k, inverse, words, lo, hi in zip(
+        schedule.lengths, schedule.inverses, schedule.words, schedule.bounds, schedule.bounds[1:]
+    ):
         if stalled[lo:hi].any():
-            first = tuple(int(i) for i in swept[lo + np.argmax(stalled[lo:hi]), :k])
+            first = tuple(int(i) for i in schedule.swept[lo + np.argmax(stalled[lo:hi]), :k])
             raise NotLoxodromic(
                 f"{int(stalled[lo:hi].sum())} of {hi - lo} necklaces of length {k} have no "
                 f"converged attracting frame (first: {first})"
             )
-        out.append((_word_array(len(mats), k), lam[lo:hi][inverse], signs[lo:hi][inverse]))
+        out.append((words.astype(np.int64), lam[lo:hi][inverse], signs[lo:hi][inverse]))
     return out
 
 
 def stable_word_lambdas(mats: list, length: int):
     """Jordan projections and eigenvalue signs of all positive words of a
     given length, computed without ever forming the word products: the
-    one-length case of `_necklace_sweep`.
+    one-length case of `_necklace_sweep`, budgeted by
+    DEFAULT_CONFIG.max_words.
 
     Returns (words, lambdas, signs) for all words, in lexicographic order,
     with words of shape (N, length); raises NotLoxodromic if some
-    necklace's frame has not converged, and ValueError if length < 1.
+    necklace's frame has not converged, ValueError if length < 1, and
+    BudgetExceeded past the word budget.
     """
     return _necklace_sweep(mats, length, length)[0]
 
@@ -296,10 +364,7 @@ def word_spectrum(fam: SchottkyFamily, max_len: int, config: Config = DEFAULT_CO
     """The spectrum of all positive words of lengths 1..max_len, after one
     check of their count against config.max_words."""
     mats = [L.g.entries for L in fam.generators]
-    count = sum(len(mats) ** k for k in range(1, max_len + 1))
-    if count > config.max_words:
-        raise BudgetExceeded(f"{count} words exceeds the budget max_words = {config.max_words}")
-    return WordSpectrum(*zip(*_necklace_sweep(mats, max_len)))
+    return WordSpectrum(*zip(*_necklace_sweep(mats, max_len, config=config)))
 
 
 def _unit_rays(lams: np.ndarray) -> np.ndarray:

@@ -278,12 +278,15 @@ def _common_shape(points: list) -> tuple:
 
 def _window_box(window, d: int) -> np.ndarray:
     """window as a (d, 2) array of (lo, hi) rows; ValueError unless it has
-    that shape and lo <= hi in every row."""
+    that shape and every row holds finite lo <= hi."""
     box = np.atleast_2d(np.asarray(window, dtype=float))
     if box.shape != (d, 2):
         raise ValueError(f"window of shape {box.shape}; points with d = {d} need shape {(d, 2)}")
     if not np.all(box[:, 0] <= box[:, 1]):
         raise ValueError(f"window rows need lo <= hi, got {box.tolist()}")
+    for i, row in enumerate(box):
+        if not np.isfinite(row).all():
+            raise ValueError(f"window row {i} = {row.tolist()} is not finite")
     return box
 
 

@@ -125,6 +125,16 @@ def test_density_refuses_a_bad_delta(workdir, variant, delta, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("variant", ["select", "cone"])
+@pytest.mark.parametrize("window, shown", [("0,inf", "[0.0, inf]"), ("-inf,0", "[-inf, 0.0]")])
+def test_density_refuses_an_infinite_window(workdir, variant, window, shown, capsys):
+    out = workdir / "d.json"
+    argv = ["density", variant, "--input", str(workdir / "pts.json"), "--delta", "0.1", f"--window={window}"]
+    assert _run(argv, out) == 2
+    assert f"configuration error: window row 0 = {shown} is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_density_failure_reports_farthest_cell(workdir):
     path = workdir / "lattice.json"
     path.write_text(json.dumps({"points": [{"v": [1.0]}]}))
@@ -241,6 +251,16 @@ def test_word_commands_refuse_max_len_below_one(workdir, capsys, command):
     out = workdir / "w.json"
     assert _run([command, str(workdir / "fam2.json"), "--max-len", "0"] + extra, out) == 2
     assert "configuration error: max_len = 0: word lengths start at 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["limit-cone", "sign-group", "schottky build"])
+def test_family_commands_refuse_an_empty_seed_list(tmp_path, capsys, command):
+    fam_path = tmp_path / "empty.json"
+    fam_path.write_text(json.dumps({"seeds": [], "r": 0.15, "eps": 0.15}))
+    out = tmp_path / "f.json"
+    assert _run(command.split() + [str(fam_path)], out) == 2
+    assert "configuration error: a Schottky family needs at least one seed" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -161,6 +161,98 @@ def test_all_length_sweep_matches_one_length_sweeps(family, max_len, request):
             assert not got.flags.writeable
 
 
+def _tables(schedule):
+    """Every array a sweep schedule holds."""
+    fields = (*schedule.inverses, *schedule.words, *vars(schedule).values())
+    return [a for a in fields if isinstance(a, np.ndarray)]
+
+
+@pytest.mark.parametrize("family, max_len", [("cone_family", 11), ("words_triple", 7)])
+def test_cold_and_warm_sweeps_are_byte_identical(family, max_len, request):
+    mats = [L.g.entries for L in request.getfixturevalue(family).generators]
+    cache = schottky_dynamics._sweep_schedule
+    for sweep in (
+        lambda: schottky_dynamics._necklace_sweep(mats, max_len),
+        lambda: [stable_word_lambdas(mats, max_len)],
+    ):
+        cache.cache_clear()
+        cold = sweep()
+        warm = sweep()
+        assert cache.cache_info().misses == 1 and cache.cache_info().hits == 1
+        assert len(cold) == len(warm)
+        for cold_length, warm_length in zip(cold, warm):
+            for got, want in zip(warm_length, cold_length):
+                assert got is not want
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.flags.writeable and want.flags.writeable
+                assert got.tobytes() == want.tobytes()
+            assert warm_length[0].dtype == np.int64
+
+
+def test_a_second_spectrum_of_the_same_size_builds_no_table(cone_family, words_triple, monkeypatch):
+    first = [word_spectrum(fam, 7) for fam in (cone_family, words_triple)]
+
+    def no_table(*args):
+        raise AssertionError("a sweep table was rebuilt")
+
+    monkeypatch.setattr(schottky_dynamics, "_necklace_index", no_table)
+    monkeypatch.setattr(schottky_dynamics, "_word_array", no_table)
+    for fam, before in zip((cone_family, words_triple), first):
+        again = word_spectrum(fam, 7)
+        for field in ("words", "lambdas", "signs"):
+            for got, want in zip(getattr(again, field), getattr(before, field)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_sweep_schedules_are_read_only_and_compact():
+    assert schottky_dynamics._sweep_schedule.cache_info().maxsize is not None
+    for key in [(2, 11, 1), (2, 7, 1), (3, 7, 1), (3, 5, 1), (3, 4, 4)]:
+        schedule = schottky_dynamics._sweep_schedule(*key)
+        tables = _tables(schedule)
+        assert len(tables) == 6 + 2 * len(schedule.lengths)
+        assert not any(table.flags.writeable for table in tables), key
+        for letters in (schedule.letters, schedule.swept, *schedule.words):
+            assert letters.dtype == np.uint8
+        for inverse, words in zip(schedule.inverses, schedule.words):
+            assert inverse.dtype == np.min_scalar_type(inverse.max())
+            assert np.array_equal(words, schottky_dynamics._word_array(key[0], words.shape[1]))
+        with pytest.raises(ValueError, match="read-only"):
+            schedule.letters[0, 0] = 1
+    frame = schottky_dynamics._start_frame(3)
+    assert not frame.flags.writeable
+    assert np.allclose(frame.T @ frame, np.eye(3))
+
+
+def test_writing_into_an_output_leaves_the_next_sweep_unchanged(words_triple):
+    mats = [L.g.entries for L in words_triple.generators]
+    first = stable_word_lambdas(mats, 5)
+    saved = [a.copy() for a in first]
+    for a in first:
+        a[...] = 2
+    again = stable_word_lambdas(mats, 5)
+    for got, want in zip(again, saved):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert np.array_equal(again[0], schottky_dynamics._word_array(3, 5))
+
+
+def test_stable_word_lambdas_checks_budget_and_length_before_the_cache(words_triple, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("a sweep table was built")
+
+    monkeypatch.setattr(schottky_dynamics, "_necklace_index", no_table)
+    monkeypatch.setattr(schottky_dynamics, "_word_array", no_table)
+    cache = schottky_dynamics._sweep_schedule
+    before = cache.cache_info()
+    mats = [L.g.entries for L in words_triple.generators]
+    # 3**12 = 531441 words, past the default budget of 200000
+    with pytest.raises(BudgetExceeded, match=r"^531441 words exceeds the budget max_words = 200000$"):
+        stable_word_lambdas(mats, 12)
+    with pytest.raises(ValueError, match=r"^max_len = 0: word lengths start at 1$"):
+        stable_word_lambdas(mats, 0)
+    after = cache.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses, before.currsize)
+
+
 def test_limit_cone_rays_do_not_depend_on_the_longest_length(cone_family):
     short = limit_cone(cone_family, 6).rays.coords
     long = limit_cone(cone_family, 11).rays.coords
@@ -318,6 +410,11 @@ def test_word_lengths_start_at_one(cone_family, max_len):
     ):
         with pytest.raises(ValueError, match=message):
             call()
+
+
+def test_build_schottky_refuses_an_empty_seed_list():
+    with pytest.raises(ValueError, match=r"^a Schottky family needs at least one seed$"):
+        build_schottky([], 0.15, 0.15)
 
 
 def test_build_schottky_selects_certified_powers(sl3_triple):

@@ -450,6 +450,28 @@ def test_density_refuses_a_bad_delta_before_any_work(call, delta, monkeypatch):
         call(CIRCLE, delta, [(0.0, 1.0)])
 
 
+@pytest.mark.parametrize(
+    "window, row, shown",
+    [
+        ([(0.0, np.inf)], 0, r"\[0\.0, inf\]"),
+        ([(-np.inf, 0.0)], 0, r"\[-inf, 0\.0\]"),
+        ([(-np.inf, np.inf)], 0, r"\[-inf, inf\]"),
+        ([(0.0, 1.0), (0.0, np.inf)], 1, r"\[0\.0, inf\]"),
+    ],
+    ids=["hi-inf", "lo-minus-inf", "both", "second-row"],
+)
+@pytest.mark.parametrize("call", [select_dense_subgroup_generators, semigroup_cone_density])
+def test_density_refuses_an_infinite_window_before_any_work(call, window, row, shown, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work started before the window was checked")
+
+    monkeypatch.setattr(torus_density, "_generated_group", no_work)
+    monkeypatch.setattr(torus_density, "_grid_centers", no_work)
+    points = CIRCLE if len(window) == 1 else PLANAR
+    with pytest.raises(ValueError, match=rf"^window row {row} = {shown} is not finite$"):
+        call(points, 0.1, window)
+
+
 def _all_pairs_within(points, k, queries, radius):
     """Reference: (query, point, distance) for every pair within radius, all pairs scanned."""
     d = points.shape[1] - k
