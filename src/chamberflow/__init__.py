@@ -75,7 +75,6 @@ from .schottky_dynamics import (
 from .torus_density import (
     DensityCertificate,
     TorusPoint,
-    jordan_density_bridge,
     select_dense_subgroup_generators,
     semigroup_cone_density,
     verify_certificate,

@@ -28,7 +28,7 @@ from .linalg_core import (
     iwasawa_kan_minus,
     jordan_projection,
 )
-from .flag_boundary import Flag, boundary_margin_estimate, is_transverse, minor_margin
+from .flag_boundary import Flag, boundary_margin_estimate, is_transverse
 from .sections_cocycles import cocycle, compact_section
 from .loxodromy import classify
 from .schottky_dynamics import (
@@ -171,7 +171,6 @@ def cmd_transverse(args) -> int:
     report = {
         "transverse": transverse,
         "margin": boundary_margin_estimate(a, b, config),
-        "minor_margin": minor_margin(a, b),
     }
     _emit(report, args)
     return EXIT_OK if transverse else EXIT_FAILED

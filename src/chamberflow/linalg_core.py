@@ -268,25 +268,11 @@ def cartan_kak(g: GroupElement):
 
 
 def jordan_projection(g: GroupElement) -> CartanVector:
-    """Non-increasing logs of the eigenvalue moduli, computed on the real Schur form."""
-    from scipy.linalg import schur
-
-    t, _ = schur(g.entries, output="real")
-    n = g.n
-    logs = []
-    i = 0
-    while i < n:
-        if i + 1 < n and t[i + 1, i] != 0.0:
-            # 2x2 block: complex pair sharing the modulus sqrt(|det|)
-            det = t[i, i] * t[i + 1, i + 1] - t[i, i + 1] * t[i + 1, i]
-            half = 0.5 * np.log(abs(det))
-            logs.extend([half, half])
-            i += 2
-        else:
-            logs.append(np.log(abs(t[i, i])))
-            i += 1
-    coords = np.sort(np.asarray(logs))[::-1]
-    return CartanVector(coords, tag="chamber_plus")
+    """Non-increasing logs of the eigenvalue moduli, from the eigenvalues of
+    np.linalg.eig (the route classify takes, so the two agree bit for bit
+    on a loxodromic g)."""
+    logs = np.log(np.abs(np.linalg.eig(g.entries)[0]))
+    return CartanVector(np.sort(logs)[::-1], tag="chamber_plus")
 
 
 def _lu_stack(mats: np.ndarray, config: Config):
@@ -330,12 +316,6 @@ def bruhat_lu(g: GroupElement, config: Config = DEFAULT_CONFIG):
     x = AMElement(CartanVector(np.log(np.abs(diag))), signs)
     u_plus = a / diag[:, np.newaxis]
     return lower, x, u_plus
-
-
-def leading_minors(mat: np.ndarray) -> np.ndarray:
-    """All leading principal minors det(mat[:k,:k]), k = 1..n."""
-    n = mat.shape[0]
-    return np.array([np.linalg.det(mat[: k + 1, : k + 1]) for k in range(n)])
 
 
 def random_group_element(rng: np.random.Generator, n: int) -> GroupElement:

@@ -35,7 +35,6 @@ from .flag_boundary import (
     boundary_margin_estimate,
     boundary_margins,
     canonicalize_rep,
-    cell_margin,
     flag_distance,
     flag_distances,
     flag_of,
@@ -229,7 +228,7 @@ def certify_r_eps(
         raise ValueError("certification requires 0 < eps <= r")
     if grid < 100:
         raise ValueError("grid < 100 is under-resolved")
-    margin = cell_margin(L.attracting, L.repelling, config=config)
+    margin = boundary_margin_estimate(L.attracting, L.repelling, config=config)
     if r > 0.5 * margin:
         raise CertificationFailure("i", f"r={r} > half margin {0.5 * margin:.4f}")
     # a private stream, so the flags are drawn in blocks

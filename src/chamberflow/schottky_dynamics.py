@@ -290,10 +290,12 @@ def _necklace_sweep(mats: list, max_len: int, min_len: int = 1, config: Config =
     S = sign(diag(F0^T F1)). Each length's words come in lexicographic
     order, of shape (N, length), as a fresh int64 array; the shortest
     length with a necklace whose frame has not converged
-    (|diag(F0^T F1)| < 1/2) raises NotLoxodromic. A length below 1 raises
-    ValueError, and more words than config.max_words BudgetExceeded, both
-    before any table is built.
+    (|diag(F0^T F1)| < 1/2) raises NotLoxodromic. An empty generator list
+    or a length below 1 raises ValueError, and more words than
+    config.max_words BudgetExceeded, all before any table is built.
     """
+    if len(mats) == 0:
+        raise ValueError("a word sweep needs at least one generator")
     if min(min_len, max_len) < 1:
         raise ValueError(f"max_len = {max_len}: word lengths start at 1")
     count = sum(len(mats) ** k for k in range(min_len, max_len + 1))

@@ -29,7 +29,7 @@ from .linalg_core import (
     bruhat_lu,
     iwasawa_kan,
 )
-from .flag_boundary import Flag, act, flag_of, k_iota, minor_margin
+from .flag_boundary import Flag, act, boundary_margin_estimate, flag_of, k_iota
 
 
 @dataclass(frozen=True)
@@ -245,10 +245,11 @@ def covering_family(n: int) -> list:
 
 
 def best_section(family: list, xi: Flag) -> Section:
-    """The family member whose chart holds xi with the largest minor margin."""
+    """The family member whose chart holds xi farthest from its boundary:
+    the largest boundary_margin_estimate of xi against the member's base."""
     best, best_margin = None, -1.0
     for s in family:
-        margin = minor_margin(xi, s.base)
+        margin = boundary_margin_estimate(xi, s.base)
         if margin > best_margin:
             best, best_margin = s, margin
     return best

@@ -569,18 +569,3 @@ def semigroup_cone_density(
         raise NotDenseAtBudget(f"semigroup covering failed at distance {far[1]:.4f}", cert)
     return v_f, cert
 
-
-def jordan_density_bridge(fam, delta: float, delta_hat: float = 0.0, window=None):
-    """Feed the Jordan data of a Schottky family into the cone-density check:
-    V = the Cartan subalgebra (dimension n - 1), C trivial; the certificate
-    delta is inflated by the measured product-estimate defect 2 l delta_hat."""
-    from .schottky_dynamics import chamber_coords
-
-    lams = [chamber_coords(L.lam.coords) for L in fam.generators]
-    pts = [TorusPoint(v, np.zeros(0)) for v in lams]
-    l = len(fam.generators)
-    eff_delta = delta + 2 * l * delta_hat
-    if window is None:
-        scale = max(np.linalg.norm(v) for v in lams)
-        window = [(-5.0 * scale, 5.0 * scale)] * pts[0].d
-    return semigroup_cone_density(pts, eff_delta, window)

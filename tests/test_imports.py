@@ -1,24 +1,31 @@
 """Static checks, by the standard-library ast only: every name a module of
 chamberflow imports is referenced in that module (the package __init__ is
 exempt, since its imports are the re-exported API), every private
-top-level function or class is used somewhere in the library, no
+top-level function or class is used somewhere in the library, every
+public top-level function is read by the library or named by the
+benchmark, apart from a short allowlist with a reason for each entry, no
 module-level name is bound to a mutable dict, list or set (caches go
 through functools.cache), the library reads no NumPy name that
 NumPy 1.24, the declared floor, lacks, no random stream is rewound
 by assigning its bit generator's state, no module imports SciPy
 outside a function or class body, so that importing the package and its
-CLI loads no SciPy module (nor do the word routines at n = 3, nor the
-density routines), only `word_spectrum` and `stable_word_lambdas` run the
-word engine `_necklace_sweep`, and the density certificate replay reads
-none of the routines that built the certificate."""
+CLI loads no SciPy module (nor do `decompose --kind jordan`, `delta_r_eps`
+at n = 4, the word routines at n = 3 or the density routines), only
+`word_spectrum` and `stable_word_lambdas` run the word engine
+`_necklace_sweep`, and the density certificate replay reads none of the
+routines that built the certificate."""
 
 import ast
+import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "chamberflow"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "chamberflow"
 
 
 def _unused_imports(tree):
@@ -62,9 +69,10 @@ def _private_defs(trees):
     ]
 
 
-def _dead_private_helpers(trees):
-    """Private top-level definitions that no code outside their own body
-    reads, as a name or as an attribute; an import alone is not a use."""
+def _unread(trees, defs):
+    """module.name of each of the (module, node) defs that no code outside
+    its own body reads, as a name or as an attribute; an import alone is
+    not a use."""
     refs = {}
     for tree in trees.values():
         for ref in ast.walk(tree):
@@ -73,11 +81,16 @@ def _dead_private_helpers(trees):
             elif isinstance(ref, ast.Attribute):
                 refs.setdefault(ref.attr, []).append(ref)
     dead = []
-    for module, node in _private_defs(trees):
+    for module, node in defs:
         own = {id(inner) for inner in ast.walk(node)}
         if all(id(ref) in own for ref in refs.get(node.name, [])):
             dead.append(f"{module}.{node.name}")
     return sorted(dead)
+
+
+def _dead_private_helpers(trees):
+    """Private top-level definitions that no code outside their own body reads."""
+    return _unread(trees, _private_defs(trees))
 
 
 def test_every_private_helper_is_used():
@@ -92,6 +105,57 @@ def test_the_check_sees_a_dead_private_helper():
         "b": ast.parse("from a import _used, _recursive\nimport a\n\nclass _Unused:\n    pass\n\nprint(a._used)\n"),
     }
     assert _dead_private_helpers(trees) == ["a._recursive", "b._Unused"]
+
+
+# public functions that neither the library nor the benchmark reads, and why each stays
+UNREACHED_PUBLIC = {
+    "cocycle_via_jordan": "the exact-formula oracle the criterion 4 acceptance test compares cocycle against",
+    "component_label_transport": "the paper's label transport, for the end-to-end mixing report of ROADMAP.md",
+    "flags_equal": "flag API: equality of flags up to the canonical gauge",
+    "standard_flag": "flag API: the flag of the standard basis",
+    "opposite_flag": "flag API: the flag transverse to the standard one",
+}
+
+
+def _unreached_public_functions(trees, benchmark_text):
+    """module.name of each public top-level function that no library code
+    outside its own body reads and that benchmark_text does not name as a
+    word."""
+    defs = [
+        (module, node)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
+    ]
+    return [
+        name
+        for name in _unread(trees, defs)
+        if not re.search(rf"\b{name.split('.')[1]}\b", benchmark_text)
+    ]
+
+
+def test_every_public_function_is_reached():
+    # the benchmark's code and its spec, whose per-layer metrics name functions
+    bench = sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "BENCHMARK.json"]
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    unreached = _unreached_public_functions(trees, "\n".join(path.read_text() for path in bench))
+    assert all(reason for reason in UNREACHED_PUBLIC.values())
+    assert sorted(name.split(".")[1] for name in unreached) == sorted(UNREACHED_PUBLIC)
+
+
+def test_the_check_sees_an_unreached_public_function():
+    trees = {
+        "a": ast.parse(
+            "def helper(x):\n    return x\n\ndef entry(x):\n    return helper(x)\n\n"
+            "def dead(x):\n    return dead(x - 1)\n\ndef traced(x):\n    return x\n\n"
+            "def _private(x):\n    return x\n"
+        ),
+        "b": ast.parse("from a import dead, traced\nimport a\n\ndef unused():\n    return a.entry\n"),
+    }
+    # a benchmark names a function as a whole word, in code or in a string
+    bench = 'COUNTERS = {"a.traced.calls": 1}\n# deadline, undead\n'
+    assert _unreached_public_functions(trees, bench) == ["a.dead", "b.unused"]
+    assert _unreached_public_functions(trees, "") == ["a.dead", "a.traced", "b.unused"]
 
 
 MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
@@ -264,15 +328,27 @@ def test_the_check_sees_a_module_level_scipy_import():
     assert _module_level_scipy_imports(tree) == [1, 2, 3, 5]
 
 
-def test_importing_the_package_and_its_cli_loads_no_scipy_module():
+def test_importing_the_package_and_its_cli_loads_no_scipy_module(tmp_path):
+    # then the spectra that read np.linalg.eig and eigh: the Jordan
+    # projection of a matrix with a complex pair, and delta's rotations at n = 4
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    matrix = [[0.0, -2.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0], [0.0, 0.0, 4.0, 1.0], [0.0, 0.0, 0.0, 0.25]]
+    (tmp_path / "g.json").write_text(json.dumps({"n": 4, "rows": matrix}))
     code = (
         "import sys, chamberflow, chamberflow.cli\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "before = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        f"argv = ['decompose', {str(tmp_path / 'g.json')!r}, '--kind', 'jordan',\n"
+        f"        '--output', {str(tmp_path / 'j.json')!r}]\n"
+        "assert chamberflow.cli.main(argv) == 0\n"
+        "assert chamberflow.delta_r_eps(0.15, 0.15, 16, seed=0, n=4) > 0.0\n"
+        "print(before, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "[] []"
+    lam = json.loads((tmp_path / "j.json").read_text())["lambda"]
+    expected = [math.log(4.0) * c for c in (1.0, 0.0, 0.0, -1.0)]
+    assert lam[1] == lam[2] and max(abs(x - y) for x, y in zip(lam, expected)) < 1e-12
 
 
 def test_the_word_routines_load_no_scipy_module_at_n_3():

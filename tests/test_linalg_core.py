@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chamberflow.errors import BudgetExceeded, NotInBigCell
+from chamberflow.errors import BudgetExceeded, NotInBigCell, NotLoxodromic
 from chamberflow.linalg_core import (
     AMElement,
     CartanVector,
@@ -17,11 +17,11 @@ from chamberflow.linalg_core import (
     iwasawa_kan,
     iwasawa_kan_minus,
     jordan_projection,
-    leading_minors,
     project_to_sl,
     random_group_element,
     sign_vectors,
 )
+from chamberflow.loxodromy import classify
 
 
 def test_group_element_rejects_wrong_determinant():
@@ -94,6 +94,24 @@ def test_jordan_projection_complex_pair_shares_modulus():
     assert np.allclose(lam.coords, [np.log(2.0), 0.0, 0.0, -np.log(2.0)], atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_jordan_projection_is_the_lambda_of_classify_bit_for_bit(n):
+    # one eigenvalue route: both read the moduli off np.linalg.eig
+    rng = np.random.default_rng(90 + n)
+    checked = 0
+    while checked < 20:
+        h = random_group_element(rng, n).entries
+        signs = rng.choice([-1.0, 1.0], size=n)
+        signs[-1] = np.prod(signs[:-1])
+        g = project_to_sl(h @ np.diag(signs * np.exp(rng.uniform(-3.0, 3.0, n))) @ np.linalg.inv(h))
+        try:
+            lam = classify(g).lam
+        except NotLoxodromic:
+            continue
+        assert jordan_projection(g).coords.tobytes() == lam.coords.tobytes()
+        checked += 1
+
+
 def test_bruhat_round_trip_and_sign_parity():
     rng = np.random.default_rng(3)
     done = 0
@@ -122,7 +140,7 @@ def test_leading_minors_match_bruhat_diagonal():
         _, x, _ = bruhat_lu(g)
     except NotInBigCell:
         return
-    minors = leading_minors(g.entries)
+    minors = [np.linalg.det(g.entries[:k, :k]) for k in range(1, 4)]
     # minor_k = prod of the first k diagonal entries of the AM part
     prods = np.cumprod(np.asarray(x.m.signs, dtype=float) * np.exp(x.a.coords))
     assert np.allclose(minors, prods, rtol=1e-9)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from chamberflow.flag_boundary import (
     _so_directions,
     act,
     boundary_margin_estimate,
-    cell_margin,
     flag_distance,
     flags_equal,
     k_iota,
@@ -116,6 +117,16 @@ def test_certification_fails_for_weak_contraction():
     L = classify(GroupElement(np.diag([9.0, 1 / 9.0])))
     with pytest.raises(CertificationFailure):
         certify_r_eps(L, 0.2, 0.05)
+
+
+def test_certification_refuses_a_non_transverse_pair_in_clause_i():
+    # margin 0, so any r > 0 fails clause (i) before a flag is drawn
+    L = classify(GroupElement(np.diag([100.0, 0.01])))
+    folded = dataclasses.replace(L, repelling=L.attracting)
+    assert boundary_margin_estimate(folded.attracting, folded.repelling) == 0.0
+    with pytest.raises(CertificationFailure) as exc:
+        certify_r_eps(folded, 0.3, 0.3)
+    assert exc.value.clause == "i"
 
 
 def test_certification_parameter_validation():
@@ -345,7 +356,7 @@ def test_delta_rejects_unusable_inputs(kwargs):
 def _reference_certify(L, r, eps, grid=200, config=DEFAULT_CONFIG):
     """The per-flag certify_r_eps loop on Flag objects that the stacked one
     replaced (parameter checks left out)."""
-    margin = cell_margin(L.attracting, L.repelling, config=config)
+    margin = boundary_margin_estimate(L.attracting, L.repelling, config=config)
     if r > 0.5 * margin:
         raise CertificationFailure("i", f"r={r} > half margin {0.5 * margin:.4f}")
     rng = np.random.default_rng(0)

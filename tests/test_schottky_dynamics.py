@@ -417,6 +417,17 @@ def test_build_schottky_refuses_an_empty_seed_list():
         build_schottky([], 0.15, 0.15)
 
 
+@pytest.mark.parametrize("length", [2, 0])
+def test_word_sweep_refuses_an_empty_generator_list(monkeypatch, length):
+    # refused before the length check and before the schedule cache is read
+    def no_schedule(*args):
+        raise AssertionError("the schedule cache was read")
+
+    monkeypatch.setattr(schottky_dynamics, "_sweep_schedule", no_schedule)
+    with pytest.raises(ValueError, match=r"^a word sweep needs at least one generator$"):
+        stable_word_lambdas([], length)
+
+
 def test_build_schottky_selects_certified_powers(sl3_triple):
     fam = build_schottky([L.g for L in sl3_triple], 0.17, 0.17)
     assert len(fam.generators) == 3

@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 from chamberflow.errors import OutOfDomain
-from chamberflow.flag_boundary import Flag, act, flag_of, flags_equal, is_transverse, opposite_flag, standard_flag
+from chamberflow.flag_boundary import (
+    Flag,
+    act,
+    boundary_margin_estimate,
+    flag_of,
+    flags_equal,
+    is_transverse,
+    opposite_flag,
+    standard_flag,
+)
 from chamberflow.linalg_core import (
     AMElement,
     GroupElement,
@@ -119,13 +128,16 @@ def test_bh_round_trip():
         assert np.abs(back.entries - g.entries).max() < 1e-8
 
 
-def test_permutation_flags_and_covering_family():
-    family = covering_family(3)
+@pytest.mark.parametrize("n", [3, 4])
+def test_permutation_flags_and_covering_family(n):
+    family = covering_family(n)
     assert len(family) >= 2
     rng = np.random.default_rng(6)
-    for _ in range(20):
-        xi = _random_flag(rng, 3)
+    for _ in range(40):
+        xi = _random_flag(rng, n)
         s = best_section(family, xi)
         assert is_transverse(xi, s.base)
+        # the chart that holds xi farthest from its boundary
+        assert boundary_margin_estimate(xi, s.base) == max(boundary_margin_estimate(xi, t.base) for t in family)
     f = permutation_flag(3, (2, 0, 1))
     assert f.n == 3

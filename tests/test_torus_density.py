@@ -7,7 +7,7 @@ import pytest
 
 from chamberflow import torus_density
 from chamberflow.errors import BudgetExceeded, NotDenseAtBudget
-from chamberflow.schottky_dynamics import build_schottky
+from chamberflow.schottky_dynamics import build_schottky, chamber_coords
 from chamberflow.torus_density import (
     DensityCertificate,
     TorusPoint,
@@ -15,7 +15,6 @@ from chamberflow.torus_density import (
     _cone_membership,
     _generated_group,
     _near_pairs,
-    jordan_density_bridge,
     select_dense_subgroup_generators,
     semigroup_cone_density,
     verify_certificate,
@@ -133,30 +132,35 @@ def test_cone_certificate_points_are_semigroup_witnesses():
     assert np.abs(pts[idx] - coeffs[idx] @ fv).max() < 1e-9
 
 
-def test_bridge_single_generator():
-    g = np.diag([9.0, 1 / 9.0])
-    fam = build_schottky([g], 0.18, 0.16)
-    v, cert = jordan_density_bridge(fam, 10.0, window=[(0.0, 40.0)])
+def _jordan_points(mats, r, eps):
+    """The Jordan projections of a Schottky family in chamber coordinates,
+    as points of V = the Cartan subalgebra with a trivial torus."""
+    fam = build_schottky(mats, r, eps)
+    return [TorusPoint(chamber_coords(L.lam.coords), np.zeros(0)) for L in fam.generators]
+
+
+def test_jordan_points_single_generator():
+    points = _jordan_points([np.diag([9.0, 1 / 9.0])], 0.18, 0.16)
+    v, cert = semigroup_cone_density(points, 10.0, [(0.0, 40.0)])
     assert cert.covered
 
 
-def test_bridge_pair_with_irrational_length_ratio():
+def test_jordan_points_pair_with_irrational_length_ratio():
     g1 = np.diag([9.0, 1 / 9.0])
     g2 = rotation2(np.pi / 4) @ np.diag([7.0, 1 / 7.0]) @ rotation2(np.pi / 4).T
-    fam = build_schottky([g1, g2], 0.18, 0.16)
-    v, cert = jordan_density_bridge(fam, 0.1, window=[(0.0, 3.0)])
+    v, cert = semigroup_cone_density(_jordan_points([g1, g2], 0.18, 0.16), 0.1, [(0.0, 3.0)])
     assert cert.covered
     assert verify_certificate(cert) == cert.covered
 
 
-def test_bridge_planar_triple():
+def test_jordan_points_planar_triple():
     mats = [
         conjugated(1635, [20.0, 1.0, 1 / 20.0]),
         conjugated(1636, [16.0, 2.0, 1 / 32.0]),
         conjugated(1637, [18.0, 0.6, 1 / 10.8]),
     ]
-    fam = build_schottky(mats, 0.15, 0.12)
-    v, cert = jordan_density_bridge(fam, 2.5, window=[(0.0, 5.0), (0.0, 5.0)])
+    points = _jordan_points(mats, 0.15, 0.12)
+    v, cert = semigroup_cone_density(points, 2.5, [(0.0, 5.0), (0.0, 5.0)])
     assert cert.covered
     assert v.shape == (2,)
 
