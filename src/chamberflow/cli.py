@@ -1,7 +1,9 @@
 """chamberflow command-line interface.
 
-One executable, one subcommand per module; deterministic seeded runs;
-JSON reports with a config hash and a timestamp kept outside the hash.
+One executable, one subcommand per module, each a row of the COMMANDS
+table; deterministic seeded runs; JSON reports with a config hash and a
+timestamp kept outside the hash. main loads the run, calls the row's
+handler and writes the report it returns.
 Exit codes: 0 success, 1 failed identity/check, 2 configuration error.
 """
 
@@ -12,7 +14,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -78,9 +80,21 @@ def _file_value(name: str, value, kind: type):
     return kind(value)
 
 
-def _load_run(args) -> tuple:
-    """(config, n, seed, header) of a run, where header holds the reported
-    "config" block and its "config_hash".
+@dataclass(frozen=True)
+class _Run:
+    """What main loads once per invocation: the run's Config, n and seed,
+    the reported header (the "config" block and its "config_hash") and,
+    for a family command, the Schottky family built under that Config."""
+
+    config: Config
+    n: int
+    seed: int
+    header: dict
+    family: object = None
+
+
+def _load_run(args) -> _Run:
+    """The run of a parsed command line.
     Precedence: defaults < command-line flags < config file < env seed."""
     n, seed, overrides = 3, 42, {}
     if args.seed is not None:
@@ -109,7 +123,18 @@ def _load_run(args) -> tuple:
         seed = int(env_seed)
     config = Config(**overrides)
     block = {"n": n, "seed": seed, **_config_sections(config)}
-    return config, n, seed, {"config": block, "config_hash": config_hash(block)}
+    family = _read_family(args.family, config) if args.reads_family else None
+    return _Run(config, n, seed, {"config": block, "config_hash": config_hash(block)}, family)
+
+
+def _read_family(path: str, config: Config):
+    """The Schottky family of a family file, built under config."""
+    with open(path) as fh:
+        raw = json.load(fh)
+    seeds = [matrix_from_json(m) for m in raw["seeds"]]
+    r = float(raw.get("r", 0.2))
+    eps = float(raw.get("eps", min(r, 0.05)))
+    return build_schottky(seeds, r, eps, config=config)
 
 
 def _read_matrix(path: str) -> GroupElement:
@@ -123,7 +148,7 @@ def _read_flag(path: str) -> Flag:
     return Flag(matrix_from_json(obj["rep"]))
 
 
-def _emit(report: dict, args, stamped: bool = False) -> None:
+def _emit(report: dict, args, stamped: bool) -> None:
     """Write the report to --output or stdout; a stamped report is followed
     by a timestamp object, outside the reproducible body."""
     text = to_json(report) + "\n"
@@ -136,21 +161,21 @@ def _emit(report: dict, args, stamped: bool = False) -> None:
         sys.stdout.write(text)
 
 
-def cmd_decompose(args) -> int:
-    config = _load_run(args)[0]
+# Each handler takes the parsed arguments and the loaded _Run, and returns
+# (report, passed); main writes the report and maps passed to the exit code.
+
+
+def cmd_decompose(args, run: _Run) -> tuple:
     g = _read_matrix(args.matrix)
     kind = args.kind
-    if kind == "kan":
-        t = iwasawa_kan(g)
-        report = {"k": matrix_to_json(t.k), "a": list(t.a.coords), "u": matrix_to_json(t.u)}
-    elif kind == "kan-minus":
-        t = iwasawa_kan_minus(g)
+    if kind in ("kan", "kan-minus"):
+        t = iwasawa_kan(g) if kind == "kan" else iwasawa_kan_minus(g)
         report = {"k": matrix_to_json(t.k), "a": list(t.a.coords), "u": matrix_to_json(t.u)}
     elif kind == "cartan":
         k1, a, k2 = cartan_kak(g)
         report = {"k1": matrix_to_json(k1), "a": list(a.coords), "k2": matrix_to_json(k2)}
     elif kind == "bruhat":
-        lower, x, upper = bruhat_lu(g, config)
+        lower, x, upper = bruhat_lu(g, run.config)
         report = {
             "u_minus": matrix_to_json(lower),
             "a": list(x.a.coords),
@@ -159,77 +184,54 @@ def cmd_decompose(args) -> int:
         }
     else:  # jordan
         report = {"lambda": list(jordan_projection(g).coords)}
-    _emit(report, args)
-    return EXIT_OK
+    return report, True
 
 
-def cmd_transverse(args) -> int:
-    config = _load_run(args)[0]
+def cmd_transverse(args, run: _Run) -> tuple:
     a = _read_flag(args.flag_a)
     b = _read_flag(args.flag_b)
-    transverse = is_transverse(a, b, config)
-    report = {
-        "transverse": transverse,
-        "margin": boundary_margin_estimate(a, b, config),
-    }
-    _emit(report, args)
-    return EXIT_OK if transverse else EXIT_FAILED
+    transverse = is_transverse(a, b, run.config)
+    return {"transverse": transverse, "margin": boundary_margin_estimate(a, b, run.config)}, transverse
 
 
-def cmd_cocycle(args) -> int:
-    config = _load_run(args)[0]
+def cmd_cocycle(args, run: _Run) -> tuple:
     s1 = compact_section(_read_flag(args.s1))
     s0 = compact_section(_read_flag(args.s0))
     g = _read_matrix(args.g)
     xi = _read_flag(args.xi)
-    beta = cocycle(s1, s0, g, xi, config)
-    _emit({"a": list(beta.a.coords), "m": list(beta.m.signs)}, args)
-    return EXIT_OK
+    beta = cocycle(s1, s0, g, xi, run.config)
+    return {"a": list(beta.a.coords), "m": list(beta.m.signs)}, True
 
 
-def cmd_lox(args) -> int:
-    config = _load_run(args)[0]
-    g = _read_matrix(args.matrix)
-    L = classify(g, config)
+def cmd_lox(args, run: _Run) -> tuple:
+    L = classify(_read_matrix(args.matrix), run.config)
     report = {
         "lambda": list(L.lam.coords),
         "attracting": flag_to_json(L.attracting),
         "repelling": flag_to_json(L.repelling),
         "gap": L.gap,
     }
-    _emit(report, args)
-    return EXIT_OK
+    return report, True
 
 
-def _load_family(args) -> tuple:
-    """(family, config, config hash) of a family subcommand: the family in
-    args.family, built under the run's Config."""
-    config, _, _, header = _load_run(args)
-    with open(args.family) as fh:
-        raw = json.load(fh)
-    seeds = [matrix_from_json(m) for m in raw["seeds"]]
-    r = float(raw.get("r", 0.2))
-    eps = float(raw.get("eps", min(r, 0.05)))
-    return build_schottky(seeds, r, eps, config=config), config, header["config_hash"]
+# the family handlers' reports: main puts the run's config_hash first
 
 
-def cmd_schottky_build(args) -> int:
-    fam, _, digest = _load_family(args)
+def cmd_schottky_build(args, run: _Run) -> tuple:
+    fam = run.family
     report = {
-        "config_hash": digest,
         "generators": len(fam.generators),
         "r": fam.r,
         "eps": fam.eps,
         "pairwise_margins": [list(row) for row in fam.pairwise_margins],
         "lambdas": [list(L.lam.coords) for L in fam.generators],
     }
-    _emit(report, args)
-    return EXIT_OK
+    return report, True
 
 
-def cmd_limit_cone(args) -> int:
-    fam, config, digest = _load_family(args)
-    cone = limit_cone(fam, args.max_len, config)
+def cmd_limit_cone(args, run: _Run) -> tuple:
+    fam = run.family
+    cone = limit_cone(fam, args.max_len, run.config)
     rays = cone.rays.coords
     planar = chamber_coords(rays)
     dir_y = planar[:, 1] if planar.shape[1] > 1 else np.zeros(len(planar))
@@ -255,20 +257,12 @@ def cmd_limit_cone(args) -> int:
                 fh.write(cone_svg(points, hull_planar))
         else:
             sys.stderr.write("svg output requires n = 3; skipped\n")
-    report = {
-        "config_hash": digest,
-        "rays": len(cone.rays),
-        "hull": [list(h.coords) for h in cone.hull],
-    }
-    _emit(report, args)
-    return EXIT_OK
+    return {"rays": len(cone.rays), "hull": [list(h.coords) for h in cone.hull]}, True
 
 
-def cmd_sign_group(args) -> int:
-    fam, config, digest = _load_family(args)
-    report_sg = sign_group(fam, args.max_len, config)
+def cmd_sign_group(args, run: _Run) -> tuple:
+    report_sg = sign_group(run.family, args.max_len, run.config)
     report = {
-        "config_hash": digest,
         "p": report_sg.p,
         "order": report_sg.order,
         "basis": [list(b.signs) for b in report_sg.basis],
@@ -276,17 +270,14 @@ def cmd_sign_group(args) -> int:
             {"word": list(word), "signs": list(m.signs)} for word, m in report_sg.witnesses
         ],
     }
-    _emit(report, args)
-    return EXIT_OK
+    return report, True
 
 
-def cmd_decor_check(args) -> int:
-    fam, config, digest = _load_family(args)
-    report_sg = sign_group(fam, args.max_len, config)
-    table = decorrelation_discret_check(fam, report_sg, args.n_exp, config=config)
+def cmd_decor_check(args, run: _Run) -> tuple:
+    report_sg = sign_group(run.family, args.max_len, run.config)
+    table = decorrelation_discret_check(run.family, report_sg, args.n_exp, config=run.config)
     all_pass = all(match for _, _, match in table.values())
     report = {
-        "config_hash": digest,
         "p": report_sg.p,
         "components": {
             "".join(map(str, nu)): {
@@ -298,19 +289,16 @@ def cmd_decor_check(args) -> int:
         },
         "passed": all_pass,
     }
-    _emit(report, args)
-    return EXIT_OK if all_pass else EXIT_FAILED
+    return report, all_pass
 
 
-def cmd_mix_probe(args) -> int:
-    fam, config, digest = _load_family(args)
+def cmd_mix_probe(args, run: _Run) -> tuple:
     theta = CartanVector(np.asarray([float(x) for x in args.theta.split(",")]))
     window = tuple(float(x) for x in args.window.split(","))
     stats = jordan_line_density_probe(
-        fam, theta, window, args.max_len, delta0=args.delta0, config=config
+        run.family, theta, window, args.max_len, delta0=args.delta0, config=run.config
     )
-    _emit({"config_hash": digest, **stats}, args)
-    return EXIT_OK
+    return stats, True
 
 
 def _read_points(path: str) -> list:
@@ -319,8 +307,8 @@ def _read_points(path: str) -> list:
     return [TorusPoint(np.asarray(p["v"], dtype=float), np.asarray(p.get("c", []), dtype=float)) for p in raw["points"]]
 
 
-def cmd_density(args) -> int:
-    _load_run(args)  # no density routine reads Config; the file is only validated
+def cmd_density(args, run: _Run) -> tuple:
+    # no density routine reads Config; main has only validated the file
     points = _read_points(args.input)
     window = [tuple(float(x) for x in pair.split(",")) for pair in args.window.split(";")]
     report = {"covered": True}
@@ -344,17 +332,60 @@ def cmd_density(args) -> int:
         if cert.uncovered_farthest is not None:
             center, distance = cert.uncovered_farthest
             report["uncovered_farthest"] = {"center": list(center), "distance": distance}
-    _emit(report, args)
     # a covering always comes with its certificate, so "replayed" is set when covered
-    return EXIT_OK if report["covered"] and report["replayed"] else EXIT_FAILED
+    return report, report["covered"] and report["replayed"]
 
 
-def cmd_verify(args) -> int:
-    config, n, seed, header = _load_run(args)
-    rows = verify_mod.run_all(seed, n=n, config=config)
+def cmd_verify(args, run: _Run) -> tuple:
+    rows = verify_mod.run_all(run.seed, n=run.n, config=run.config)
     all_pass = all(r["passed"] for r in rows)
-    _emit({**header, "identities": rows, "passed": all_pass}, args, stamped=True)
-    return EXIT_OK if all_pass else EXIT_FAILED
+    return {**run.header, "identities": rows, "passed": all_pass}, all_pass
+
+
+_MAX_LEN = (("--max-len",), {"dest": "max_len", "type": int, "default": 4})
+
+# The command table: (name, handler, help, where, arguments), in help order.
+# `where` names the subcommand lists the row joins: "top" is the top level,
+# "schottky" the `schottky` group. A row under `schottky` is a family
+# command: its first argument is the family file, built with the run.
+COMMANDS = (
+    ("decompose", cmd_decompose, "matrix decompositions", ("top",), (
+        (("matrix",), {}),
+        (("--kind",), {"choices": ("kan", "kan-minus", "cartan", "bruhat", "jordan"), "default": "kan"}),
+    )),
+    ("transverse", cmd_transverse, "flag transversality report", ("top",), (
+        (("flag_a",), {}),
+        (("flag_b",), {}),
+    )),
+    ("cocycle", cmd_cocycle, "signed AM cocycle", ("top",), tuple(
+        ((flag,), {"required": True}) for flag in ("--s1", "--s0", "--g", "--xi")
+    )),
+    ("lox", cmd_lox, "loxodromic classification", ("top",), ((("matrix",), {}),)),
+    ("build", cmd_schottky_build, None, ("schottky",), ()),
+    ("limit-cone", cmd_limit_cone, None, ("schottky", "top"), (
+        _MAX_LEN,
+        (("--csv",), {"default": None}),
+        (("--svg",), {"default": None}),
+    )),
+    ("sign-group", cmd_sign_group, None, ("schottky", "top"), (_MAX_LEN,)),
+    ("decor-check", cmd_decor_check, None, ("schottky", "top"), (
+        _MAX_LEN,
+        (("--n-exp",), {"dest": "n_exp", "type": int, "default": 2}),
+    )),
+    ("mix-probe", cmd_mix_probe, None, ("schottky", "top"), (
+        _MAX_LEN,
+        (("--theta",), {"required": True}),
+        (("--window",), {"default": "1,10"}),
+        (("--delta0",), {"type": float, "default": 0.2}),
+    )),
+    ("density", cmd_density, "toral density certificates", ("top",), (
+        (("variant",), {"choices": ("select", "cone")}),
+        (("--input",), {"required": True}),
+        (("--delta",), {"type": float, "required": True}),
+        (("--window",), {"default": "-1,1"}),
+    )),
+    ("verify", cmd_verify, "run every identity suite", ("top",), ()),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,72 +395,19 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=None)
     common.add_argument("--output", default=None)
     parser = argparse.ArgumentParser(prog="chamberflow", parents=[common])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_parser(container, name, **kwargs):
-        return container.add_parser(name, parents=[common], **kwargs)
-
-    p = add_parser(sub, "decompose", help="matrix decompositions")
-    p.add_argument("matrix")
-    p.add_argument("--kind", choices=["kan", "kan-minus", "cartan", "bruhat", "jordan"], default="kan")
-    p.set_defaults(func=cmd_decompose)
-
-    p = add_parser(sub, "transverse", help="flag transversality report")
-    p.add_argument("flag_a")
-    p.add_argument("flag_b")
-    p.set_defaults(func=cmd_transverse)
-
-    p = add_parser(sub, "cocycle", help="signed AM cocycle")
-    p.add_argument("--s1", required=True)
-    p.add_argument("--s0", required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--xi", required=True)
-    p.set_defaults(func=cmd_cocycle)
-
-    p = add_parser(sub, "lox", help="loxodromic classification")
-    p.add_argument("matrix")
-    p.set_defaults(func=cmd_lox)
-
-    schottky = add_parser(sub, "schottky", help="Schottky family operations")
-    ssub = schottky.add_subparsers(dest="subcommand", required=True)
-    p = add_parser(ssub, "build")
-    p.add_argument("family")
-    p.set_defaults(func=cmd_schottky_build)
-
-    # one table for the family subcommands, registered under `schottky`
-    # and as top-level aliases
-    family_commands = [
-        ("limit-cone", cmd_limit_cone, ["csv"]),
-        ("sign-group", cmd_sign_group, []),
-        ("decor-check", cmd_decor_check, ["n_exp"]),
-        ("mix-probe", cmd_mix_probe, ["theta"]),
-    ]
-    for container in (ssub, sub):
-        for name, func, extra in family_commands:
-            sp = add_parser(container, name)
-            sp.add_argument("family")
-            sp.add_argument("--max-len", dest="max_len", type=int, default=4)
-            if "csv" in extra:
-                sp.add_argument("--csv", default=None)
-                sp.add_argument("--svg", default=None)
-            if "n_exp" in extra:
-                sp.add_argument("--n-exp", dest="n_exp", type=int, default=2)
-            if "theta" in extra:
-                sp.add_argument("--theta", required=True)
-                sp.add_argument("--window", default="1,10")
-                sp.add_argument("--delta0", type=float, default=0.2)
-            sp.set_defaults(func=func)
-
-    p = add_parser(sub, "density", help="toral density certificates")
-    p.add_argument("variant", choices=["select", "cone"])
-    p.add_argument("--input", required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--window", default="-1,1")
-    p.set_defaults(func=cmd_density)
-
-    p = add_parser(sub, "verify", help="run every identity suite")
-    p.set_defaults(func=cmd_verify)
-
+    subcommands = {"top": parser.add_subparsers(dest="command", required=True)}
+    for name, func, help_text, where, arguments in COMMANDS:
+        if "schottky" in where and "schottky" not in subcommands:
+            group = subcommands["top"].add_parser("schottky", parents=[common], help="Schottky family operations")
+            subcommands["schottky"] = group.add_subparsers(dest="subcommand", required=True)
+        reads_family = "schottky" in where
+        for place in where:
+            p = subcommands[place].add_parser(name, parents=[common], **({"help": help_text} if help_text else {}))
+            if reads_family:
+                p.add_argument("family")
+            for flags, options in arguments:
+                p.add_argument(*flags, **options)
+            p.set_defaults(func=func, reads_family=reads_family)
     return parser
 
 
@@ -440,7 +418,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        run = _load_run(args)
+        report, passed = args.func(args, run)
+        if run.family is not None:
+            report = {"config_hash": run.header["config_hash"], **report}
+        _emit(report, args, stamped=args.command == "verify")
+        return EXIT_OK if passed else EXIT_FAILED
     except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_CONFIG

@@ -199,15 +199,14 @@ def _rotation(direction: np.ndarray, t: float) -> np.ndarray:
     return _rotations(direction[np.newaxis], np.asarray([t]))[0]
 
 
-def boundary_margins(reps: np.ndarray, xi_check: Flag, config: Config = DEFAULT_CONFIG) -> np.ndarray:
-    """boundary_margin_estimate of each flag representative of an (N, n, n)
-    stack against one xi_check: one stack of comparison matrices, one
-    stacked Bruhat factorisation and one stacked SVD per leading block.
-    The margin is 0 exactly at the pairs that fail the pivot test; a pair
-    that passes it has every leading block invertible, so a positive margin.
+def _comparison_margins(c: np.ndarray, config: Config) -> np.ndarray:
+    """boundary_margin_estimate of each pair whose comparison matrix is one
+    of an (N, n, n) stack: one stacked Bruhat factorisation and one stacked
+    SVD per leading block. The margin is 0 exactly at the pairs that fail
+    the pivot test; a pair that passes it has every leading block
+    invertible, so a positive margin.
     """
-    n = xi_check.n
-    c = (k_iota(n) @ xi_check.rep.T) @ reps
+    n = c.shape[-1]
     _, _, first_fail = _lu_stack(c, config)
     # the closed form is increasing in s_k, so its minimum is at min_k s_k;
     # s_1 = |c_11| (LAPACK's singular value of a 1 x 1 block is that, bit for bit)
@@ -218,6 +217,12 @@ def boundary_margins(reps: np.ndarray, xi_check: Flag, config: Config = DEFAULT_
     )
     margin = 2.0 * s / np.sqrt(1.0 + np.sqrt(np.maximum(0.0, 1.0 - s * s)))
     return np.where(first_fail == n, margin, 0.0)
+
+
+def boundary_margins(reps: np.ndarray, xi_check: Flag, config: Config = DEFAULT_CONFIG) -> np.ndarray:
+    """boundary_margin_estimate of each flag representative of an (N, n, n)
+    stack against one xi_check, from one stack of comparison matrices."""
+    return _comparison_margins((k_iota(xi_check.n) @ xi_check.rep.T) @ reps, config)
 
 
 def boundary_margin_estimate(

@@ -29,7 +29,7 @@ from .linalg_core import (
     bruhat_lu,
     iwasawa_kan,
 )
-from .flag_boundary import Flag, act, boundary_margin_estimate, flag_of, k_iota
+from .flag_boundary import Flag, _comparison_margins, act, flag_of, k_iota
 
 
 @dataclass(frozen=True)
@@ -246,10 +246,8 @@ def covering_family(n: int) -> list:
 
 def best_section(family: list, xi: Flag) -> Section:
     """The family member whose chart holds xi farthest from its boundary:
-    the largest boundary_margin_estimate of xi against the member's base."""
-    best, best_margin = None, -1.0
-    for s in family:
-        margin = boundary_margin_estimate(xi, s.base)
-        if margin > best_margin:
-            best, best_margin = s, margin
-    return best
+    the first with the largest boundary_margin_estimate of xi against the
+    member's base, from one stack of comparison matrices."""
+    bases = np.stack([s.base.rep for s in family])
+    c = (k_iota(xi.n) @ np.swapaxes(bases, -1, -2)) @ xi.rep
+    return family[int(np.argmax(_comparison_margins(c, DEFAULT_CONFIG)))]

@@ -10,17 +10,8 @@ import numpy as np
 import pytest
 
 from chamberflow.cli import main
-from chamberflow.errors import NotInBigCell
-from chamberflow.linalg_core import (
-    CartanVector,
-    GroupElement,
-    bruhat_lu,
-    cartan_kak,
-    iwasawa_kan,
-    iwasawa_kan_minus,
-    random_group_element,
-    random_rotation,
-)
+from chamberflow.errors import NotLoxodromic
+from chamberflow.linalg_core import CartanVector, GroupElement, random_rotation
 from chamberflow.loxodromy import (
     certify_r_eps,
     classify,
@@ -48,31 +39,11 @@ from chamberflow.torus_density import (
 from chamberflow import verify as verify_mod
 
 
-def _rel_err(actual, expected):
-    scale = max(1.0, float(np.abs(expected).max()))
-    return float(np.abs(actual - expected).max()) / scale
-
-
 def test_criterion_1_decomposition_suite():
     start = time.monotonic()
-    rng = np.random.default_rng(42)
-    worst = 0.0
-    done = 0
-    while done < 1000:
-        g = random_group_element(rng, 3)
-        t = iwasawa_kan(g)
-        worst = max(worst, _rel_err(t.reconstruct(), g.entries))
-        tm = iwasawa_kan_minus(g)
-        worst = max(worst, _rel_err(tm.reconstruct(), g.entries))
-        k1, a, k2 = cartan_kak(g)
-        worst = max(worst, _rel_err(k1 @ np.diag(np.exp(a.coords)) @ k2, g.entries))
-        try:
-            lower, x, upper = bruhat_lu(g)
-        except NotInBigCell:
-            continue
-        worst = max(worst, _rel_err(lower @ x.matrix() @ upper, g.entries))
-        done += 1
+    rows = verify_mod.suite_decompositions(42, n=3, count=1000)
     elapsed = time.monotonic() - start
+    worst = max(residual for _, residual, _ in rows)
     assert worst < 1e-9, worst
     assert elapsed < 10.0, elapsed
 
@@ -93,17 +64,10 @@ def test_criterion_4_loxodromic_identities():
     worst_sigma, worst_apart = 0.0, 0.0
     done = 0
     while done < 100:
-        base = random_group_element(rng, 3)
-        mat = np.linalg.matrix_power(base.entries, 4)
-        det = np.linalg.det(mat)
-        if det <= 0 or not np.isfinite(det):
-            continue
+        # the loxodromy suite's sampler
         try:
-            L = classify(GroupElement(mat / det ** (1.0 / 3.0)))
-        except Exception:
-            continue
-        # keep the dynamic range within double precision
-        if 3.0 * (L.lam.coords[0] - L.lam.coords[-1]) > 14.0:
+            L = verify_mod.loxodromic_draw(rng, 3)
+        except NotLoxodromic:
             continue
         sigma = iwasawa_cocycle(L.g, L.attracting)
         worst_sigma = max(worst_sigma, float(np.abs(sigma.coords - L.lam.coords).max()))

@@ -12,8 +12,9 @@ outside a function or class body, so that importing the package and its
 CLI loads no SciPy module (nor do `decompose --kind jordan`, `delta_r_eps`
 at n = 4, the word routines at n = 3 or the density routines), only
 `word_spectrum` and `stable_word_lambdas` run the word engine
-`_necklace_sweep`, and the density certificate replay reads none of the
-routines that built the certificate."""
+`_necklace_sweep`, the density certificate replay reads none of the
+routines that built the certificate, only the CLI's `main` loads a run and
+writes a report, and every `verify` suite samples through the one driver."""
 
 import ast
 import json
@@ -482,3 +483,71 @@ def test_the_check_sees_a_third_engine_reader():
         ),
     }
     assert _engine_readers(trees) == ["a.third", "a.word_spectrum", "b", "b.K"]
+
+
+def _top_level_readers(tree, name):
+    """The top-level functions or classes of tree that read name, as a name
+    or as an attribute, outside name's own definition; "<module>" for a read
+    outside any definition."""
+    found = set()
+    for top in tree.body:
+        owner = "<module>"
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if top.name == name:
+                continue
+            owner = top.name
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Name) and node.id == name) or (
+                isinstance(node, ast.Attribute) and node.attr == name
+            ):
+                found.add(owner)
+    return sorted(found)
+
+
+def test_only_main_loads_a_run_and_writes_a_report():
+    tree = ast.parse((SRC / "cli.py").read_text())
+    assert _top_level_readers(tree, "_load_run") == ["main"]
+    assert _top_level_readers(tree, "_emit") == ["main"]
+
+
+def test_the_check_sees_a_handler_that_writes_its_own_report():
+    tree = ast.parse(
+        "def _emit(report):\n    return _emit(report)\n\n"
+        "def main(args):\n    _emit(args.func(args))\n\n"
+        "def cmd_a(args):\n    _emit({})\n\n"
+        "class K:\n    write = staticmethod(_emit)\n\n"
+        "WRITE = cli._emit\n"
+    )
+    assert _top_level_readers(tree, "_emit") == ["<module>", "K", "cmd_a", "main"]
+
+
+def _suites_with_own_sampling(tree):
+    """(suite, line) of each `while` loop and `default_rng` call inside a
+    top-level suite_* function."""
+    found = []
+    for top in tree.body:
+        if not (isinstance(top, ast.FunctionDef) and top.name.startswith("suite_")):
+            continue
+        for node in ast.walk(top):
+            callee = node.func if isinstance(node, ast.Call) else None
+            name = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", None)
+            if isinstance(node, ast.While) or name == "default_rng":
+                found.append(f"{top.name} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_every_verify_suite_samples_through_the_driver():
+    tree = ast.parse((SRC / "verify.py").read_text())
+    assert any(isinstance(top, ast.FunctionDef) and top.name.startswith("suite_") for top in tree.body)
+    assert _suites_with_own_sampling(tree) == []
+
+
+def test_the_check_sees_a_suite_with_its_own_sampling_loop():
+    tree = ast.parse(
+        "def _sample(seed):\n    rng = np.random.default_rng(seed)\n    while True:\n        pass\n\n"
+        "def suite_a(seed):\n    return _sample(seed)\n\n"
+        "def suite_b(seed):\n    rng = np.random.default_rng(seed)\n    return rng\n\n"
+        "def suite_c(seed):\n    while seed:\n        seed -= 1\n\n"
+        "def suite_d(seed):\n    return default_rng(seed)\n"
+    )
+    assert _suites_with_own_sampling(tree) == ["suite_b (line 10)", "suite_c (line 14)", "suite_d (line 18)"]
