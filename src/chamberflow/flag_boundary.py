@@ -15,15 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotInBigCell, NotTransverse
+from .errors import NotTransverse
 from .linalg_core import (
     Config,
     DEFAULT_CONFIG,
     GroupElement,
     _freeze,
+    _kan_stack,
     _lu_stack,
-    bruhat_lu,
-    iwasawa_kan,
     sign_vectors,
 )
 
@@ -62,16 +61,12 @@ class Flag:
     """Point of the full flag variety: SO(n) frame modulo diagonal signs."""
 
     rep: np.ndarray
-    canonical: bool = False
 
     def __post_init__(self):
         rep = np.asarray(self.rep, dtype=float)
         if np.linalg.norm(rep.T @ rep - np.eye(rep.shape[0])) > 1e-8:
             raise ValueError("flag representative must be orthogonal")
-        if not self.canonical:
-            rep = canonicalize_rep(rep)
-            object.__setattr__(self, "canonical", True)
-        object.__setattr__(self, "rep", _freeze(rep))
+        object.__setattr__(self, "rep", _freeze(canonicalize_rep(rep)))
 
     @property
     def n(self) -> int:
@@ -91,13 +86,18 @@ def opposite_flag(n: int) -> Flag:
     return Flag(k_iota(n))
 
 
+def _span_flag(mat: np.ndarray) -> Flag:
+    """Flag of the nested column spans of an invertible matrix: its K-part."""
+    return Flag(_kan_stack(mat[np.newaxis])[0][0])
+
+
 def flag_of(g: GroupElement) -> Flag:
     """Flag of the nested column spans of g: K-part of its KAN decomposition."""
-    return Flag(iwasawa_kan(g).k)
+    return _span_flag(g.entries)
 
 
 def act(g: GroupElement, xi: Flag) -> Flag:
-    return flag_of(GroupElement(g.entries @ xi.rep))
+    return _span_flag(g.entries @ xi.rep)
 
 
 @functools.cache
@@ -123,18 +123,16 @@ def flag_distance(xi: Flag, eta: Flag) -> float:
     return float(flag_distances(xi.rep, eta.rep))
 
 
-def comparison_matrix(xi: Flag, xi_check: Flag) -> GroupElement:
-    """Matrix whose big-cell membership detects transversality of (xi, xi_check)."""
-    n = xi.n
-    return GroupElement(k_iota(n) @ xi_check.rep.T @ xi.rep)
+def _comparisons(reps: np.ndarray, checks: np.ndarray) -> np.ndarray:
+    """Comparison matrices J check^T rep, broadcast over stacks of (n, n)
+    frames on either side; a pair is transverse exactly when its matrix is
+    in the big cell. J is a signed permutation, so J check^T is exact."""
+    return (k_iota(reps.shape[-1]) @ np.swapaxes(checks, -1, -2)) @ reps
 
 
 def is_transverse(xi: Flag, xi_check: Flag, config: Config = DEFAULT_CONFIG) -> bool:
-    try:
-        bruhat_lu(comparison_matrix(xi, xi_check), config)
-        return True
-    except NotInBigCell:
-        return False
+    _, _, first_fail = _lu_stack(_comparisons(xi.rep, xi_check.rep)[np.newaxis], config)
+    return bool(first_fail[0] == xi.n)
 
 
 @functools.cache
@@ -222,7 +220,7 @@ def _comparison_margins(c: np.ndarray, config: Config) -> np.ndarray:
 def boundary_margins(reps: np.ndarray, xi_check: Flag, config: Config = DEFAULT_CONFIG) -> np.ndarray:
     """boundary_margin_estimate of each flag representative of an (N, n, n)
     stack against one xi_check, from one stack of comparison matrices."""
-    return _comparison_margins((k_iota(xi_check.n) @ xi_check.rep.T) @ reps, config)
+    return _comparison_margins(_comparisons(reps, xi_check.rep), config)
 
 
 def boundary_margin_estimate(

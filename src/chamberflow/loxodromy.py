@@ -43,6 +43,7 @@ from .flag_boundary import (
     _rotation,
     _rotations,
     _so_directions,
+    _span_flag,
 )
 from .sections_cocycles import (
     Section,
@@ -124,7 +125,7 @@ def classify(g: GroupElement, config: Config = DEFAULT_CONFIG) -> LoxodromicData
     reversed_h = h[:, ::-1].copy()
     if np.linalg.det(reversed_h) < 0:
         reversed_h[:, 0] = -reversed_h[:, 0]
-    repelling = flag_of(GroupElement(reversed_h))
+    repelling = _span_flag(reversed_h)
     gap = float(np.min(-np.diff(lam.coords)))
     return LoxodromicData(g, lam, attracting, repelling, diagonalizer, gap)
 
@@ -211,6 +212,26 @@ def cocycle_via_jordan(
     return left * middle * right
 
 
+DRAW_CAP = 1024   # most flags _thick_flags draws at once, so its memory stays bounded
+
+
+def _thick_flags(
+    rng: np.random.Generator, check: Flag, margin: float, need: int, budget: int, spare: np.ndarray, config: Config
+) -> tuple[np.ndarray, int]:
+    """Canonical random flag representatives at boundary margin >= margin
+    from check, appended to the (k, n, n) stack spare until it holds need
+    of them or budget draws are spent; returns the stack and the draws
+    spent. A block of min(DRAW_CAP, max(8, 2 * shortfall), budget left)
+    draws is drawn as that many single draws are, so blocks change no flag."""
+    drawn = 0
+    while len(spare) < need and drawn < budget:
+        size = min(DRAW_CAP, max(8, 2 * (need - len(spare))), budget - drawn)
+        reps = canonicalize_rep(_random_rotations(rng, check.n, size))
+        drawn += size
+        spare = np.concatenate([spare, reps[boundary_margins(reps, check, config) >= margin]])
+    return spare, drawn
+
+
 def certify_r_eps(
     L: LoxodromicData,
     r: float,
@@ -232,16 +253,8 @@ def certify_r_eps(
     if r > 0.5 * margin:
         raise CertificationFailure("i", f"r={r} > half margin {0.5 * margin:.4f}")
     # a private stream, so the flags are drawn in blocks
-    rng = np.random.default_rng(0)
-    n = L.g.n
-    blocks, count, tries = [], 0, 0
-    while count < grid and tries < 50 * grid:
-        size = min(2 * (grid - count), 50 * grid - tries)
-        reps = canonicalize_rep(_random_rotations(rng, n, size))
-        tries += size
-        blocks.append(reps[boundary_margins(reps, L.repelling, config) >= eps])
-        count += len(blocks[-1])
-    samples = np.concatenate(blocks)[:grid]
+    rng, empty = np.random.default_rng(0), np.empty((0, L.g.n, L.g.n))
+    samples = _thick_flags(rng, L.repelling, eps, grid, 50 * grid, empty, config)[0][:grid]
     if len(samples) < grid:
         raise CertificationFailure("ii", "could not populate the sample grid")
     images = canonicalize_rep(_kan_stack(L.g.entries @ samples)[0])
@@ -272,9 +285,6 @@ def _sample_k_r(rng: np.random.Generator, n: int, r: float) -> np.ndarray:
     dirs = _so_directions(n, 12)
     direction = dirs[rng.integers(len(dirs))]
     return _rotation(direction, r * rng.uniform(0.0, 0.5))
-
-
-DRAW_CAP = 1024   # most xi1 draws delta_r_eps tests at once, so its memory stays bounded
 
 
 def delta_r_eps(
@@ -317,11 +327,8 @@ def delta_r_eps(
     spare = queue1 = queue2 = np.empty((0, n, n))
     while accepted < mc_samples:
         need = mc_samples - accepted - len(queue1)
-        while len(spare) < need and drawn < budget:
-            size = min(DRAW_CAP, max(8, 2 * (need - len(spare))), budget - drawn)
-            reps = canonicalize_rep(_random_rotations(gauss, n, size))
-            drawn += size
-            spare = np.concatenate([spare, reps[boundary_margins(reps, check, config) >= 3 * r]])
+        spare, spent = _thick_flags(gauss, check, 3 * r, need, budget - drawn, spare, config)
+        drawn += spent
         fresh, spare = spare[:need], spare[need:]
         # xi2 at distance < eps from xi1: a rotation by t <= eps along a unit
         # coordinate direction moves a flag by sqrt(8) sin(t / (2 sqrt 2)) < t

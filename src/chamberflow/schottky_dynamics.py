@@ -28,7 +28,7 @@ from .linalg_core import (
     _cartan_normal_form,
     project_to_sl,
 )
-from .flag_boundary import act, boundary_margin_estimate, flag_distance, is_transverse
+from .flag_boundary import act, boundary_margin_estimate, flag_distance, flags_equal, is_transverse
 from .loxodromy import certify_r_eps, classify, power, ratio
 from .sections_cocycles import BHCoordinates, best_section, cocycle, compact_section, covering_family
 
@@ -520,7 +520,7 @@ def component_label_transport(
     for idx in word:
         g = fam.generators[idx].g
         xi_next = act(g, xi)
-        s_next = best_section(family, xi_next)
+        s_next = best_section(family, xi_next, config)
         beta = cocycle(s_next, s_cur, g, xi, config)
         acc = acc * beta.m
         xi, s_cur = xi_next, s_next
@@ -555,13 +555,9 @@ def decorrelation_discret_check(
         if not is_transverse(witnesses[i - 1].attracting, witnesses[i].repelling, config):
             raise NotGeneric(f"witness pair ({i - 1}+, {i}-) not transverse")
     # base point transverse to h_1's repelling flag
-    xi0 = None
-    for cand in [w.attracting for w in reversed(witnesses)] + [
-        L.attracting for L in fam.generators
-    ]:
-        if is_transverse(cand, witnesses[0].repelling, config) and not np.allclose(
-            cand.rep, witnesses[0].repelling.rep
-        ):
+    xi0, first = None, witnesses[0].repelling
+    for cand in [w.attracting for w in reversed(witnesses)] + [L.attracting for L in fam.generators]:
+        if is_transverse(cand, first, config) and not flags_equal(cand, first):
             xi0 = cand
             break
     if xi0 is None:

@@ -27,9 +27,8 @@ from .linalg_core import (
     _lu_stack,
     _row_norms,
     bruhat_lu,
-    iwasawa_kan,
 )
-from .flag_boundary import Flag, _comparison_margins, act, flag_of, k_iota
+from .flag_boundary import Flag, _comparison_margins, _comparisons, _span_flag, act, flag_of, k_iota
 
 
 @dataclass(frozen=True)
@@ -87,11 +86,11 @@ def eval_sections(
     n = s.n
     if s.translate is not None:
         reps = np.swapaxes(s.translate, -1, -2) @ reps
-    h = _base_frame(s.base)
-    # [e](zeta): the unique u in N- with u . (standard flag) = zeta
-    lower, _, first_fail = _lu_stack(h.T @ reps, config)
+    # [e](zeta): the unique u in N- with u . (standard flag) = zeta, where
+    # zeta = h^T xi is the comparison of xi with the base
+    lower, _, first_fail = _lu_stack(_comparisons(reps, s.base.rep), config)
     inside = first_fail == n
-    value = h @ np.where(inside[:, np.newaxis, np.newaxis], lower, np.eye(n))
+    value = _base_frame(s.base) @ np.where(inside[:, np.newaxis, np.newaxis], lower, np.eye(n))
     if s.kind == "compact":
         value = _kan_stack(value)[0]
     value = value @ s.offset.matrix()
@@ -177,7 +176,7 @@ def cocycle(
 
 def iwasawa_cocycle(g: GroupElement, xi: Flag) -> CartanVector:
     """sigma(g, xi): the a-part of the KAN decomposition of g * rep(xi)."""
-    return iwasawa_kan(GroupElement(g.entries @ xi.rep)).a
+    return CartanVector(_kan_stack((g.entries @ xi.rep)[np.newaxis])[1][0])
 
 
 @dataclass(frozen=True)
@@ -193,7 +192,7 @@ class BHCoordinates:
 def to_bh(g: GroupElement, s: Section, config: Config = DEFAULT_CONFIG) -> BHCoordinates:
     """(g eta0, g eta0_check ; x)_s with g = s(g eta0) u x, u in N, x in AM."""
     xi = flag_of(g)
-    xi_check = flag_of(GroupElement(g.entries @ k_iota(g.n)))
+    xi_check = _span_flag(g.entries @ k_iota(g.n))
     d = np.linalg.solve(eval_section(s, xi, config).entries, g.entries)
     x = _upper_am_part(d, "to_bh")
     return BHCoordinates(xi, xi_check, x, s)
@@ -244,10 +243,9 @@ def covering_family(n: int) -> list:
     return [compact_section(permutation_flag(n, perm)) for perm in itertools.permutations(range(n))]
 
 
-def best_section(family: list, xi: Flag) -> Section:
+def best_section(family: list, xi: Flag, config: Config = DEFAULT_CONFIG) -> Section:
     """The family member whose chart holds xi farthest from its boundary:
     the first with the largest boundary_margin_estimate of xi against the
     member's base, from one stack of comparison matrices."""
-    bases = np.stack([s.base.rep for s in family])
-    c = (k_iota(xi.n) @ np.swapaxes(bases, -1, -2)) @ xi.rep
-    return family[int(np.argmax(_comparison_margins(c, DEFAULT_CONFIG)))]
+    c = _comparisons(xi.rep, np.stack([s.base.rep for s in family]))
+    return family[int(np.argmax(_comparison_margins(c, config)))]

@@ -3,7 +3,7 @@
 Config is the one record of the values a run can set: a function takes a
 `config` parameter only if it reads a field or hands `config` on to code
 that does, every field is read somewhere, and nothing bypasses the
-parameter through DEFAULT_CONFIG.<field>.
+parameter: DEFAULT_CONFIG is read only as a parameter default.
 """
 
 import ast
@@ -99,3 +99,39 @@ def test_no_module_reads_default_config_fields():
         and node.value.id == "DEFAULT_CONFIG"
     ]
     assert offenders == []
+
+
+def _default_config_outside_defaults(trees):
+    """module:line of each read of DEFAULT_CONFIG that is not a parameter
+    default, such as an argument that overrides a caller's config."""
+    offenders = []
+    for module, tree in trees.items():
+        defaults = {
+            id(node)
+            for fn in _functions(tree)
+            for node in fn.args.defaults + [d for d in fn.args.kw_defaults if d is not None]
+        }
+        offenders += [
+            f"{module}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name)
+            and node.id == "DEFAULT_CONFIG"
+            and isinstance(node.ctx, ast.Load)
+            and id(node) not in defaults
+        ]
+    return offenders
+
+
+def test_default_config_is_read_only_as_a_parameter_default():
+    assert _default_config_outside_defaults(_modules()) == []
+
+
+def test_the_check_sees_default_config_passed_as_an_argument():
+    tree = ast.parse(
+        "DEFAULT_CONFIG = Config()\n\n"
+        "def f(x, config=DEFAULT_CONFIG, *, strict=DEFAULT_CONFIG):\n"
+        "    return g(x, DEFAULT_CONFIG)\n\n"
+        "def h(x):\n"
+        "    return g(x, config=DEFAULT_CONFIG)\n"
+    )
+    assert _default_config_outside_defaults({"a": tree}) == ["a:4", "a:7"]

@@ -12,7 +12,6 @@ from chamberflow.flag_boundary import (
     boundary_margins,
     cell_margin,
     canonicalize_rep,
-    comparison_matrix,
     flag_distance,
     flag_of,
     flags_equal,
@@ -20,11 +19,13 @@ from chamberflow.flag_boundary import (
     k_iota,
     opposite_flag,
     standard_flag,
+    _comparisons,
     _rotation,
     _rotations,
     _so_directions,
 )
-from chamberflow.linalg_core import GroupElement, random_group_element, random_rotation
+from chamberflow.linalg_core import Config, DEFAULT_CONFIG, GroupElement, random_group_element, random_rotation
+from chamberflow.sections_cocycles import compact_section, eval_sections
 
 
 def test_canonical_representative_has_unit_determinant():
@@ -184,7 +185,7 @@ def _two_pass_margin(xi, xi_check):
     comparison matrix."""
     if not is_transverse(xi, xi_check):
         return 0.0
-    c = comparison_matrix(xi, xi_check).entries
+    c = k_iota(xi.n) @ xi_check.rep.T @ xi.rep
     s = min(np.linalg.svd(c[:k, :k], compute_uv=False)[-1] for k in range(1, xi.n))
     return float(2.0 * s / np.sqrt(1.0 + np.sqrt(max(0.0, 1.0 - s * s))))
 
@@ -233,6 +234,35 @@ def test_stacked_margins_match_the_closed_form(n):
     assert margins.tolist() == [_two_pass_margin(xi, xi_check) for xi in flags]
     assert np.all(margins[:12] > 0.0)
     assert margins[12:].tolist() == [0.0] * 3
+
+
+@pytest.mark.parametrize("config", [DEFAULT_CONFIG, Config(tol_minor=0.3)], ids=["default", "tol-minor-0.3"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_one_big_cell_decision(n, config):
+    rng = np.random.default_rng(90 + n)
+    pairs = [(Flag(random_rotation(rng, n)), Flag(random_rotation(rng, n))) for _ in range(40)]
+    # frames whose first vector lies in xi_check's first line: not transverse
+    for _ in range(4):
+        xi_check, turn = Flag(random_rotation(rng, n)), np.eye(n)
+        turn[1:, 1:] = random_rotation(rng, n - 1) if n > 2 else 1.0
+        pairs.append((Flag(xi_check.rep @ turn), xi_check))
+    reps = np.asarray([xi.rep for xi, _ in pairs])
+    checks = np.asarray([xi_check.rep for _, xi_check in pairs])
+    stacked = _comparisons(reps, checks)
+    decisions = []
+    for i, (xi, xi_check) in enumerate(pairs):
+        one = _comparisons(xi.rep, xi_check.rep)
+        assert one.tobytes() == stacked[i].tobytes()
+        assert one.tobytes() == _comparisons(reps, xi_check.rep)[i].tobytes()
+        assert one.tobytes() == _comparisons(xi.rep, checks)[i].tobytes()
+        # J check^T is the transpose of a section's base frame, bit for bit
+        assert one.tobytes() == ((xi_check.rep @ k_iota(n).T).T @ xi.rep).tobytes()
+        transverse = is_transverse(xi, xi_check, config)
+        assert (boundary_margins(xi.rep[np.newaxis], xi_check, config)[0] > 0) == transverse
+        assert eval_sections(compact_section(xi_check), xi.rep[np.newaxis], config)[1][0] == transverse
+        decisions.append(transverse)
+    assert not any(decisions[40:])
+    assert any(decisions[:40])
 
 
 def _reference_canonical(rep):

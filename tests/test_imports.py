@@ -112,7 +112,6 @@ def test_the_check_sees_a_dead_private_helper():
 UNREACHED_PUBLIC = {
     "cocycle_via_jordan": "the exact-formula oracle the criterion 4 acceptance test compares cocycle against",
     "component_label_transport": "the paper's label transport, for the end-to-end mixing report of ROADMAP.md",
-    "flags_equal": "flag API: equality of flags up to the canonical gauge",
     "standard_flag": "flag API: the flag of the standard basis",
     "opposite_flag": "flag API: the flag transverse to the standard one",
 }

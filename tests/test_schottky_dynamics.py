@@ -683,6 +683,22 @@ def test_label_transport_identity_and_generators(single_sign_family):
         assert not any(label)
 
 
+def test_label_transport_picks_sections_under_its_config(monkeypatch, single_sign_family):
+    fam = single_sign_family
+    report = sign_group(fam, 3)
+    start = _start_coords(fam)
+    config = Config(tol_minor=1e-6)
+    seen = []
+
+    def spy(family, xi, *rest):
+        seen.append(rest)
+        return best_section(family, xi, *rest)
+
+    monkeypatch.setattr(schottky_dynamics, "best_section", spy)
+    component_label_transport((0, 1, 1), fam, start, report, config)
+    assert seen == [(config,)] * 3
+
+
 def test_label_transport_is_a_homomorphism(single_sign_family):
     fam = single_sign_family
     report = sign_group(fam, 3)

@@ -14,6 +14,7 @@ from chamberflow.flag_boundary import (
 )
 from chamberflow.linalg_core import (
     AMElement,
+    Config,
     GroupElement,
     am_distance,
     random_group_element,
@@ -141,3 +142,22 @@ def test_permutation_flags_and_covering_family(n):
         assert boundary_margin_estimate(xi, s.base) == max(boundary_margin_estimate(xi, t.base) for t in family)
     f = permutation_flag(3, (2, 0, 1))
     assert f.n == 3
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_best_section_reads_the_run_config(n):
+    # a strict pivot threshold shrinks every chart: the pick must hold xi
+    # under the run's threshold whenever some member does
+    config = Config(tol_minor=0.8)
+    family = covering_family(n)
+    rng = np.random.default_rng(11)
+    moved = 0
+    for _ in range(100):
+        xi = _random_flag(rng, n)
+        s = best_section(family, xi, config)
+        margins = [boundary_margin_estimate(xi, t.base, config) for t in family]
+        assert boundary_margin_estimate(xi, s.base, config) == max(margins)
+        if any(is_transverse(xi, t.base, config) for t in family):
+            assert is_transverse(xi, s.base, config)
+        moved += s is not best_section(family, xi)
+    assert moved > 0
