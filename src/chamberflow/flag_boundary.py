@@ -1,7 +1,7 @@
 """The Furstenberg boundary of SL(n, R) as the full flag variety.
 
-A flag is stored as an orthogonal frame modulo diagonal signs; the
-canonical representative makes flag equality a plain matrix comparison.
+A flag is stored as a canonical orthogonal frame modulo diagonal signs;
+two flags are equal when their flag distance is below 1e-8.
 Transversality is the Bruhat big-cell criterion on a comparison matrix,
 and boundary_margin_estimate gives the exact distance from a flag to the
 complement of a Bruhat cell in closed form, from principal angles between
@@ -73,10 +73,6 @@ class Flag:
         return self.rep.shape[0]
 
 
-def flags_equal(xi: Flag, eta: Flag) -> bool:
-    return xi.n == eta.n and bool(np.allclose(xi.rep, eta.rep, atol=1e-8))
-
-
 def standard_flag(n: int) -> Flag:
     return Flag(np.eye(n))
 
@@ -121,6 +117,11 @@ def flag_distance(xi: Flag, eta: Flag) -> float:
     if xi.n != eta.n:
         raise ValueError("flags must share the ambient dimension")
     return float(flag_distances(xi.rep, eta.rep))
+
+
+def flags_equal(xi: Flag, eta: Flag) -> bool:
+    """flag_distance below 1e-8, however the canonical representatives tie."""
+    return xi.n == eta.n and flag_distance(xi, eta) < 1e-8
 
 
 def _comparisons(reps: np.ndarray, checks: np.ndarray) -> np.ndarray:

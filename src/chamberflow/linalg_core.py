@@ -11,6 +11,7 @@ bitwise identical.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,8 +76,12 @@ class GroupElement:
         if not np.all(np.isfinite(mat)):
             raise ValueError("GroupElement entries must be finite")
         det = float(np.linalg.det(mat))
-        scale = max(1.0, float(np.abs(mat).max()) ** mat.shape[0])
-        if abs(det - 1.0) > TOL_DET * scale:
+        excess = abs(det - 1.0)
+        # excess > TOL_DET * max(1, max|entry|)^n, compared in logs, since the
+        # power overflows a float once an entry passes about 1e308^(1/n)
+        if excess > TOL_DET and (
+            math.log(excess) - math.log(TOL_DET) > mat.shape[0] * math.log(max(1.0, float(np.abs(mat).max())))
+        ):
             raise ValueError(f"determinant {det} is not 1 within tolerance")
 
     def inv(self) -> "GroupElement":
@@ -227,8 +232,10 @@ def _kan_stack(mats: np.ndarray):
     diagonal of the triangular factor, u), arrays over the stack. The logs
     are not yet projected to trace zero (CartanVector does that)."""
     q, r = np.linalg.qr(mats)
+    if not np.all(np.isfinite(r)):
+        raise NonInvertible("QR factor is not finite: the input is non-finite or overflows")
     diag = np.diagonal(r, axis1=-2, axis2=-1)
-    if np.any(diag == 0) or not np.all(np.isfinite(r)):
+    if np.any(diag == 0):
         raise NonInvertible("QR factor has a zero diagonal entry")
     d = np.sign(diag)
     k = q * d[..., np.newaxis, :]

@@ -28,7 +28,7 @@ from .linalg_core import (
     _cartan_normal_form,
     project_to_sl,
 )
-from .flag_boundary import act, boundary_margin_estimate, flag_distance, flags_equal, is_transverse
+from .flag_boundary import act, boundary_margin_estimate, flags_equal, is_transverse
 from .loxodromy import certify_r_eps, classify, power, ratio
 from .sections_cocycles import BHCoordinates, best_section, cocycle, compact_section, covering_family
 
@@ -85,10 +85,7 @@ def build_schottky(
     classified = [classify(GroupElement(s) if isinstance(s, np.ndarray) else s, config) for s in seeds]
     for i, a in enumerate(classified):
         for j, b in enumerate(classified[:i]):
-            if (
-                flag_distance(a.attracting, b.attracting) < 1e-8
-                or flag_distance(a.repelling, b.repelling) < 1e-8
-            ):
+            if flags_equal(a.attracting, b.attracting) or flags_equal(a.repelling, b.repelling):
                 raise NotGeneric(f"seeds {j} and {i} share a fixed flag")
     m = len(classified)
     margins = np.zeros((m, m))
@@ -460,44 +457,45 @@ def cone_interior(cone: ConeEstimate, direction: np.ndarray) -> bool:
     return bool(res.success and -res.fun > CONE_MARGIN)
 
 
-def _sign_bits(m: SignVector) -> tuple:
-    return tuple(1 if s < 0 else 0 for s in m.signs)
+def _sign_mask(m: SignVector) -> int:
+    """m as a GF(2) vector: bit n - 1 - i is set when sign i is -1, so the
+    leading bit is the first negative sign."""
+    return int("".join("1" if s < 0 else "0" for s in m.signs), 2)
 
 
-def _reduce_bits(bits: tuple, basis_bits: list) -> tuple:
-    vec = np.array(bits, dtype=int)
-    for b in basis_bits:
-        pivot = next(i for i, v in enumerate(b) if v)
-        if vec[pivot]:
-            vec = (vec + np.array(b)) % 2
-    return tuple(int(v) for v in vec)
+def _mask_bits(mask: int, n: int) -> tuple:
+    """The n bits of a sign mask in sign order, first sign first."""
+    return tuple(int(c) for c in format(mask, f"0{n}b"))
 
 
 def sign_group(fam: SchottkyFamily, max_len: int, config: Config = DEFAULT_CONFIG) -> SignGroupReport:
-    """The sign group M_Gamma via GF(2) elimination on the M-parts of the
-    extended Jordan projections of all positive words up to max_len."""
+    """The sign group M_Gamma: the GF(2) span of the sign masks of all positive
+    words up to max_len, each word whose mask leaves the span a witness."""
     spectrum = word_spectrum(fam, max_len, config)
-    basis, basis_bits, witnesses = [], [], []
+    span, witnesses = {0}, []
     for words, signs in zip(spectrum.words, spectrum.signs):
-        # a repeated row is already in the span: reduce first occurrences only
+        # a repeated row is already in the span: test first occurrences only
         _, first = np.unique(signs, axis=0, return_index=True)
         for i in np.sort(first):
             m = SignVector(tuple(int(s) for s in signs[i]))
-            residual = _reduce_bits(_sign_bits(m), basis_bits)
-            if any(residual):
-                basis.append(m)
-                basis_bits.append(residual)
+            mask = _sign_mask(m)
+            if mask not in span:
+                span |= {x ^ mask for x in span}
                 witnesses.append((tuple(int(k) for k in words[i]), m))
-        # eigenvalue signs multiply to det = +1, so p <= n - 1
-        if len(basis) == signs.shape[1] - 1:
+        # eigenvalue signs multiply to det = +1, so |M_Gamma| <= 2^(n-1)
+        if len(span) == 1 << (signs.shape[1] - 1):
             break
-    p = len(basis)
-    return SignGroupReport(tuple(basis), 2 ** p, p, tuple(witnesses))
+    basis = tuple(m for _, m in witnesses)
+    return SignGroupReport(basis, len(span), len(basis), tuple(witnesses))
 
 
 def coset_index(m: SignVector, report: SignGroupReport) -> tuple:
-    """Canonical coset representative of m in M / M_Gamma as reduced bits."""
-    return _reduce_bits(_sign_bits(m), [list(b) for b in map(_sign_bits, report.basis)])
+    """Canonical representative of the coset of m modulo M_Gamma, as bits: its
+    least mask, which is 0 at the leading bit of every mask of M_Gamma."""
+    span = {0}
+    for b in map(_sign_mask, report.basis):
+        span |= {x ^ b for x in span}
+    return _mask_bits(min(_sign_mask(m) ^ x for x in span), m.n)
 
 
 def component_label_transport(
@@ -563,19 +561,16 @@ def decorrelation_discret_check(
     if xi0 is None:
         raise NotGeneric("no base point transverse to the first witness")
     sections = [compact_section(w.repelling) for w in witnesses]
-    s0 = compact_section(witnesses[0].repelling)
     # corrections m_i: make each chain ratio term sign-trivial
     m_corr = [SignVector.identity(n)]
     for i in range(p):
-        s_prev = (s0 if i == 0 else sections[i - 1]).with_offset(
-            AMElement(CartanVector(np.zeros(n)), m_corr[i])
-        )
+        s_prev = sections[max(i - 1, 0)].with_offset(AMElement(CartanVector(np.zeros(n)), m_corr[i]))
         anchor = xi0 if i == 0 else witnesses[i - 1].attracting
         rho = ratio(
             sections[i], s_prev, witnesses[i].repelling, witnesses[i].attracting, anchor, config
         ).m
         m_corr.append(rho)
-    ms = [m for _, m in report.witnesses]
+    masks = [_sign_mask(m) for m in report.basis]
     s_top = sections[p - 1].with_offset(AMElement(CartanVector(np.zeros(n)), m_corr[p]))
     table = {}
     for bits in range(1 << p):
@@ -585,7 +580,7 @@ def decorrelation_discret_check(
         # solve well conditioned
         beta = AMElement.identity(n)
         point = xi0
-        s_prev = s0
+        s_prev = sections[0]
         for i, w in enumerate(witnesses):
             s_next = s_top if i == p - 1 else sections[i]
             for _ in range(2 * n_exp + nu[i]):
@@ -599,12 +594,9 @@ def decorrelation_discret_check(
             nxt = witnesses[i + 1].repelling if i + 1 < p else witnesses[i].repelling
             if not is_transverse(point, nxt, config):
                 raise NeedLargerN(f"orbit point leaves the big cell at step {i}")
-        expected = SignVector.identity(n)
-        for i in range(p):
-            if nu[i]:
-                expected = expected * ms[i]
-        attained = _sign_bits(beta.m)
-        table[nu] = (attained, _sign_bits(expected), attained == _sign_bits(expected))
+        expected = functools.reduce(int.__xor__, (mask for mask, bit in zip(masks, nu) if bit), 0)
+        attained = _sign_mask(beta.m)
+        table[nu] = (_mask_bits(attained, n), _mask_bits(expected, n), attained == expected)
     return table
 
 

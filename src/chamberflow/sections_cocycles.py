@@ -198,12 +198,10 @@ def to_bh(g: GroupElement, s: Section, config: Config = DEFAULT_CONFIG) -> BHCoo
     return BHCoordinates(xi, xi_check, x, s)
 
 
-def _n_part_from_flags(
-    s: Section, xi: Flag, xi_check: Flag, config: Config
-) -> np.ndarray:
-    """The unique u in N with s(xi) u . (opposite standard flag) = xi_check."""
-    n = xi.n
-    e = np.linalg.solve(eval_section(s, xi, config).entries, xi_check.rep) @ k_iota(n).T
+def _n_part_from_flags(s_xi: np.ndarray, xi_check: Flag, config: Config) -> np.ndarray:
+    """The unique u in N with s(xi) u . (opposite standard flag) = xi_check,
+    given the section value s_xi = s(xi)."""
+    e = np.linalg.solve(s_xi, xi_check.rep) @ k_iota(xi_check.n).T
     # e = u * (lower); flip to read the unit upper factor off a plain LU
     flipped = e[::-1, ::-1]
     try:
@@ -222,10 +220,8 @@ def _project_det(mat: np.ndarray) -> np.ndarray:
 
 def from_bh(c: BHCoordinates, config: Config = DEFAULT_CONFIG) -> GroupElement:
     """Inverse of to_bh: reconstruct g = s(xi) u x."""
-    u = _n_part_from_flags(c.section, c.xi, c.xi_check, config)
-    return GroupElement(
-        eval_section(c.section, c.xi, config).entries @ u @ c.x.matrix()
-    )
+    s_xi = eval_section(c.section, c.xi, config).entries
+    return GroupElement(s_xi @ _n_part_from_flags(s_xi, c.xi_check, config) @ c.x.matrix())
 
 
 def permutation_flag(n: int, perm: tuple) -> Flag:

@@ -61,6 +61,16 @@ def single_sign_family():
 
 
 @pytest.fixture(scope="session")
+def shared_lead_family():
+    """Strong SL(3) pair whose sign patterns (-1, -1, 1) and (-1, 1, -1)
+    are independent but share their first negative sign: the sign group is
+    all of M, so every label modulo it is trivial."""
+    a = conjugated(168, [-150.0, -1.0, 1 / 150.0])
+    b = conjugated(169, [-150.0, 1.0, -1 / 150.0])
+    return build_schottky([a, b], 0.15, 0.15)
+
+
+@pytest.fixture(scope="session")
 def cone_family():
     """Strong SL(3) pair with distinct Jordan directions, for cone and
     line-density experiments."""

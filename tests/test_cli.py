@@ -351,3 +351,15 @@ def test_lox_honours_the_config_file_tolerance(workdir, capsys):
     # the relative modulus gaps of diag(4, 1, 1/4) are 0.75, below 0.99
     assert main(["lox", matrix, "--config", str(path)]) == 1
     assert "eigenvalue moduli not separated" in capsys.readouterr().err
+
+
+def test_huge_entries_get_a_refusal_or_a_report(workdir, capsys):
+    # max|entry|^3 = 1e360 overflows a float: GroupElement must not raise
+    # OverflowError while it checks the determinant
+    path = workdir / "huge.json"
+    path.write_text(json.dumps(matrix_to_json(np.diag([1e120, 1e-60, 1e-60]))))
+    assert main(["lox", str(path)]) == 1
+    assert "eigenvalue moduli not separated" in capsys.readouterr().err
+    out = workdir / "cartan.json"
+    assert _run(["decompose", str(path), "--kind", "cartan"], out) == 0
+    assert json.loads(out.read_text())["a"] == pytest.approx([120 * np.log(10), -60 * np.log(10), -60 * np.log(10)])

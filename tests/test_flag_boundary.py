@@ -42,6 +42,18 @@ def test_flag_ignores_column_signs():
     assert flag_distance(Flag(k), Flag(flipped)) < 1e-12
 
 
+def test_flags_equal_near_a_canonicalisation_tie():
+    # R's first column has two entries of equal magnitude, so rotations of
+    # R by +-1e-15 pick opposite leading rows and far-apart representatives
+    c = 1 / np.sqrt(2.0)
+    r = np.array([[c, -c, 0.0], [c, c, 0.0], [0.0, 0.0, 1.0]])
+    x = _so_directions(3, 3)[0]
+    xi, eta = (Flag(_rotation(x, t) @ r) for t in (1e-15, -1e-15))
+    assert flag_distance(xi, eta) < 1e-14
+    assert np.abs(xi.rep - eta.rep).max() > 1.0
+    assert flags_equal(xi, eta)
+
+
 def test_flag_rejects_non_orthogonal_representative():
     with pytest.raises(ValueError):
         Flag(np.diag([2.0, 0.5, 1.0]))

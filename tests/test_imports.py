@@ -14,7 +14,9 @@ at n = 4, the word routines at n = 3 or the density routines), only
 `word_spectrum` and `stable_word_lambdas` run the word engine
 `_necklace_sweep`, the density certificate replay reads none of the
 routines that built the certificate, only the CLI's `main` loads a run and
-writes a report, and every `verify` suite samples through the one driver."""
+writes a report, every `verify` suite samples through the one driver, and
+outside `flags_equal` no comparison takes a `flag_distance` or
+`flag_distances` call as an operand."""
 
 import ast
 import json
@@ -550,3 +552,44 @@ def test_the_check_sees_a_suite_with_its_own_sampling_loop():
         "def suite_d(seed):\n    return default_rng(seed)\n"
     )
     assert _suites_with_own_sampling(tree) == ["suite_b (line 10)", "suite_c (line 14)", "suite_d (line 18)"]
+
+
+FLAG_METRICS = {"flag_distance", "flag_distances"}
+
+
+def _flag_distance_comparisons(trees):
+    """module (line) of each comparison with a flag_distance or
+    flag_distances call in an operand, outside flags_equal: the one
+    test of flag equality."""
+    found = []
+    for module, tree in trees.items():
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef) and top.name == "flags_equal":
+                continue
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Compare):
+                    continue
+                for part in (sub for operand in [node.left, *node.comparators] for sub in ast.walk(operand)):
+                    callee = part.func if isinstance(part, ast.Call) else None
+                    name = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", None)
+                    if name in FLAG_METRICS:
+                        found.append(f"{module} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_flags_are_compared_only_by_flags_equal():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert _flag_distance_comparisons(trees) == []
+
+
+def test_the_check_sees_a_flag_distance_comparison():
+    trees = {
+        "a": ast.parse(
+            "def flags_equal(xi, eta):\n    return flag_distance(xi, eta) < 1e-8\n\n"
+            "def same(a, b):\n    return fb.flag_distance(a, b) < 1e-8\n\n"
+            "def near(a, b):\n    return 0.1 >= float(flag_distances(a.rep, b.rep))\n\n"
+            "def apart(a, b):\n    d = flag_distance(a, b)\n    return d > 0.5\n"
+        ),
+        "b": ast.parse("TIE = 1e-8 > flag_distances(x, y).min()\n"),
+    }
+    assert _flag_distance_comparisons(trees) == ["a (line 5)", "a (line 8)", "b (line 1)"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chamberflow.errors import BudgetExceeded, NotInBigCell, NotLoxodromic
+from chamberflow.errors import BudgetExceeded, NonInvertible, NotInBigCell, NotLoxodromic
 from chamberflow.linalg_core import (
     AMElement,
     CartanVector,
@@ -10,6 +10,7 @@ from chamberflow.linalg_core import (
     MAX_SAMPLE_TRIES,
     SignVector,
     _cartan_normal_form,
+    _kan_stack,
     _lu_stack,
     am_distance,
     bruhat_lu,
@@ -27,6 +28,33 @@ from chamberflow.loxodromy import classify
 def test_group_element_rejects_wrong_determinant():
     with pytest.raises(ValueError):
         GroupElement(np.diag([2.0, 1.0]))
+
+
+def test_group_element_bounds_the_determinant_without_forming_the_power():
+    # the tolerance is TOL_DET * max|entry|^n: 1 for entries up to 1e3 at n = 3
+    GroupElement(np.diag([1e3, 1e3, 1.9e-6]))
+    with pytest.raises(ValueError, match="determinant 2.1"):
+        GroupElement(np.diag([1e3, 1e3, 2.1e-6]))
+    # max|entry|^3 = 1e360 overflows a float; the bound is compared in logs,
+    # so no OverflowError escapes
+    assert GroupElement(np.diag([1e120, 1e-60, 1e-60])).n == 3
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="determinant inf"):
+        GroupElement(np.diag([1e200, 1e200, 1e200]))
+
+
+@pytest.mark.parametrize(
+    "mat, message",
+    [
+        ([[np.inf, 0.0], [0.0, 1.0]], "non-finite or overflows"),
+        ([[np.nan, 0.0], [0.0, 1.0]], "non-finite or overflows"),
+        ([[1.5e308, 0.0], [1.5e308, 1.0]], "non-finite or overflows"),
+        ([[0.0, 0.0], [0.0, 1.0]], "zero diagonal entry"),
+    ],
+    ids=["inf", "nan", "overflow", "singular"],
+)
+def test_kan_stack_names_a_non_finite_input(mat, message):
+    with pytest.raises(NonInvertible, match=message):
+        _kan_stack(np.asarray(mat)[np.newaxis])
 
 
 def test_random_group_element_gives_up_on_singular_draws():

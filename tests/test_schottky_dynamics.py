@@ -1,3 +1,4 @@
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -18,10 +19,12 @@ from chamberflow.linalg_core import (
     jordan_projection,
     project_to_sl,
     random_rotation,
+    sign_vectors,
 )
 from chamberflow.schottky_dynamics import (
     CONE_MARGIN,
     SchottkyFamily,
+    SignGroupReport,
     build_schottky,
     chamber_coords,
     component_label_transport,
@@ -653,6 +656,42 @@ def test_decorrelation_components_at_cli_default_exponent(sign_family):
     assert all(match for _, _, match in table.values()), table
 
 
+def test_sign_group_spans_m_from_rows_with_a_shared_leading_sign(shared_lead_family):
+    report = sign_group(shared_lead_family, 3)
+    assert (report.p, report.order) == (2, 4)
+    assert [b.signs for b in report.basis] == [(-1, -1, 1), (-1, 1, -1)]
+    # M_Gamma = M: every sign vector lies in the trivial coset
+    assert {coset_index(m, report) for m in sign_vectors(3)} == {(0, 0, 0)}
+
+
+def _brute_force_span(basis, n):
+    """The span of basis as sign tuples, by multiplying out every subset."""
+    span = {SignVector.identity(n).signs}
+    for b in basis:
+        span |= {(SignVector(s) * b).signs for s in span}
+    return span
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_coset_index_is_the_least_element_of_each_coset(n):
+    rng = np.random.default_rng(2400 + n)
+    elements = sign_vectors(n)
+    for _ in range(20):
+        picks = rng.integers(0, len(elements), size=rng.integers(0, n + 1))
+        basis = [elements[i] for i in picks]
+        if len(basis) >= 2:
+            basis.append(basis[0] * basis[1])  # a dependent row
+        span = _brute_force_span(basis, n)
+        report = SignGroupReport(tuple(basis), len(span), len(span).bit_length() - 1, ())
+        index = {m: coset_index(m, report) for m in elements}
+        for m in elements:
+            # the least bit tuple (first sign most significant) of the coset
+            least = min(tuple(int(x * y < 0) for x, y in zip(m.signs, s)) for s in span)
+            assert index[m] == least
+        for m1, m2 in itertools.product(elements, repeat=2):
+            assert (index[m1] == index[m2]) == ((m1 * m2).signs in span)
+
+
 def test_decorrelation_trivial_sign_group():
     a = conjugated(168, [150.0, 2.0, 1 / 300.0])
     b = conjugated(169, [150.0, 2.0, 1 / 300.0])
@@ -670,10 +709,7 @@ def _start_coords(fam, m=None):
     return BHCoordinates(xi=xi0, xi_check=fam.generators[0].repelling, x=x, section=s0)
 
 
-def test_label_transport_identity_and_generators(single_sign_family):
-    fam = single_sign_family
-    report = sign_group(fam, 3)
-    assert report.p == 1
+def _assert_identity_and_generators_are_trivial(fam, report):
     start = _start_coords(fam)
     trivial = component_label_transport((), fam, start, report)
     assert not any(trivial)
@@ -681,6 +717,18 @@ def test_label_transport_identity_and_generators(single_sign_family):
         label = component_label_transport((idx,), fam, start, report)
         # generator sign patterns lie inside the sign group: trivial coset
         assert not any(label)
+
+
+def test_label_transport_identity_and_generators(single_sign_family):
+    report = sign_group(single_sign_family, 3)
+    assert report.p == 1
+    _assert_identity_and_generators_are_trivial(single_sign_family, report)
+
+
+def test_label_transport_identity_and_generators_at_full_sign_group(shared_lead_family):
+    report = sign_group(shared_lead_family, 3)
+    assert report.p == 2
+    _assert_identity_and_generators_are_trivial(shared_lead_family, report)
 
 
 def test_label_transport_picks_sections_under_its_config(monkeypatch, single_sign_family):
@@ -699,11 +747,13 @@ def test_label_transport_picks_sections_under_its_config(monkeypatch, single_sig
     assert seen == [(config,)] * 3
 
 
-def test_label_transport_is_a_homomorphism(single_sign_family):
-    fam = single_sign_family
+def _assert_label_homomorphism(fam):
+    """Check the label of w1 w2 against those of w1 and w2 on random word
+    pairs; return every label seen."""
     report = sign_group(fam, 3)
     start = _start_coords(fam)
     rng = np.random.default_rng(7)
+    seen = set()
 
     def mul(b1, b2):
         return tuple((x + y) % 2 for x, y in zip(b1, b2))
@@ -715,6 +765,17 @@ def test_label_transport_is_a_homomorphism(single_sign_family):
         l2 = component_label_transport(w2, fam, start, report)
         l12 = component_label_transport(w1 + w2, fam, start, report)
         assert l12 == mul(l1, l2)
+        seen |= {l1, l2, l12}
+    return seen
+
+
+def test_label_transport_is_a_homomorphism(single_sign_family):
+    _assert_label_homomorphism(single_sign_family)
+
+
+def test_label_transport_is_a_homomorphism_at_full_sign_group(shared_lead_family):
+    # M_Gamma = M: every label is trivial, for words of both generators too
+    assert _assert_label_homomorphism(shared_lead_family) == {(0, 0, 0)}
 
 
 def test_label_transport_shifts_with_start_offset(single_sign_family):
