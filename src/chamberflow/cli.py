@@ -117,6 +117,8 @@ def _load_run(args) -> _Run:
                     raise ValueError(f"config file: {key}.{field}: unknown key")
                 overrides[field] = _file_value(f"{key}.{field}", v, type(sections[key][field]))
         n = _file_value("n", raw.get("n", n), int)
+        if n < 2:
+            raise ValueError(f"config file: n: must be at least 2, not {n}")
         seed = _file_value("seed", raw.get("seed", seed), int)
     env_seed = os.environ.get("CHAMBERFLOW_SEED")
     if env_seed is not None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExceeded, NonInvertible, NotInBigCell
+from .errors import BudgetExceeded, NonInvertible, NotInBigCell, OutOfDomain
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,7 @@ DEFAULT_CONFIG = Config()
 
 TOL_DET = 1e-9                   # relative determinant tolerance of GroupElement
 MAX_SAMPLE_TRIES = 100           # Gaussian draws random_group_element may reject
+AM_PART_TOL = 1e-8               # largest strict lower part, relative, of an (AM)N matrix
 
 
 def _trace_free(coords: np.ndarray) -> np.ndarray:
@@ -77,12 +78,13 @@ class GroupElement:
             raise ValueError("GroupElement entries must be finite")
         det = float(np.linalg.det(mat))
         excess = abs(det - 1.0)
-        # excess > TOL_DET * max(1, max|entry|)^n, compared in logs, since the
-        # power overflows a float once an entry passes about 1e308^(1/n)
-        if excess > TOL_DET and (
-            math.log(excess) - math.log(TOL_DET) > mat.shape[0] * math.log(max(1.0, float(np.abs(mat).max())))
-        ):
-            raise ValueError(f"determinant {det} is not 1 within tolerance")
+        # excess > TOL_DET * max(1, prod_j |col_j|) (Hadamard's bound on |det|),
+        # in logs, since the product overflows; hypot keeps each norm finite
+        if excess > TOL_DET:
+            with np.errstate(divide="ignore"):
+                log_hadamard = float(np.log(np.hypot.reduce(mat, axis=0)).sum())
+            if math.log(excess) - math.log(TOL_DET) > log_hadamard:
+                raise ValueError(f"determinant {det} is not 1 within tolerance")
 
     def inv(self) -> "GroupElement":
         return GroupElement(np.linalg.inv(self.entries))
@@ -244,6 +246,31 @@ def _kan_stack(mats: np.ndarray):
     return k, np.log(rdiag), r / rdiag[..., :, np.newaxis]
 
 
+def _am_parts(mats: np.ndarray):
+    """The AM part of each matrix of an (N, n, n) stack expected in (AM)N:
+    (logs, signs, in_am), the (N, n) logs of |diagonal| (not yet trace
+    free), the (N, n) diagonal signs, and the mask of the finite matrices
+    with a strict lower part of norm <= AM_PART_TOL max(1, max|entry|) and
+    diagonal signs of product +1 (so no zero); elsewhere logs and signs
+    are placeholders."""
+    strict_lower = _row_norms(np.tril(mats, -1).reshape(len(mats), -1))
+    scale = np.maximum(1.0, np.abs(mats).max(axis=(-2, -1)))
+    diag = np.diagonal(mats, axis1=-2, axis2=-1)
+    with np.errstate(divide="ignore"):
+        logs, signs = np.log(np.abs(diag)), np.sign(diag)
+    in_am = np.isfinite(scale) & (strict_lower <= AM_PART_TOL * scale) & (signs.prod(axis=-1) > 0)
+    return logs, signs, in_am
+
+
+def _first_am(parts, refusal: str) -> AMElement:
+    """The AMElement of the first entry of stacked (logs, signs, inside), as
+    _am_parts returns them; OutOfDomain(refusal) when it is not inside."""
+    logs, signs, inside = parts
+    if not inside[0]:
+        raise OutOfDomain(refusal)
+    return AMElement(CartanVector(logs[0]), SignVector(signs[0]))
+
+
 def iwasawa_kan(g: GroupElement) -> IwasawaTriple:
     """g = k exp(a) u with k in SO(n), u unit upper-triangular."""
     k, logs, u = _kan_stack(g.entries[np.newaxis])
@@ -318,10 +345,9 @@ def bruhat_lu(g: GroupElement, config: Config = DEFAULT_CONFIG):
     if k < g.n:
         raise NotInBigCell(k, float(a[0, k, k]))
     lower, a = lower[0], np.triu(a[0])
-    diag = np.diag(a).copy()
-    signs = SignVector(tuple(int(s) for s in np.sign(diag)))
-    x = AMElement(CartanVector(np.log(np.abs(diag))), signs)
-    u_plus = a / diag[:, np.newaxis]
+    logs, signs, _ = _am_parts(a[np.newaxis])
+    x = AMElement(CartanVector(logs[0]), SignVector(signs[0]))
+    u_plus = a / np.diag(a)[:, np.newaxis]
     return lower, x, u_plus
 
 

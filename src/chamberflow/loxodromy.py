@@ -14,7 +14,6 @@ from .errors import (
     CertificationFailure,
     HypothesisViolated,
     NotLoxodromic,
-    OutOfDomain,
 )
 from .linalg_core import (
     AMElement,
@@ -22,7 +21,7 @@ from .linalg_core import (
     Config,
     DEFAULT_CONFIG,
     GroupElement,
-    SignVector,
+    _first_am,
     _kan_stack,
     _random_rotations,
     _row_norms,
@@ -180,10 +179,8 @@ def ratio(
     config: Config = DEFAULT_CONFIG,
 ) -> AMElement:
     """R_{s1,s2}(xi_check; xi1, xi2) = T_{s1,[xi_check]}(xi1) T_{[xi_check],s2}(xi2)."""
-    a, signs, inside = ratios(s1, s2, xi_check, xi1.rep[np.newaxis], xi2.rep[np.newaxis], config)
-    if not inside[0]:
-        raise OutOfDomain("a flag is outside a section domain, or a transition is not in AM")
-    return AMElement(CartanVector(a[0]), SignVector(tuple(int(v) for v in signs[0])))
+    refusal = "a flag is outside a section domain, or a transition is not in AM"
+    return _first_am(ratios(s1, s2, xi_check, xi1.rep[np.newaxis], xi2.rep[np.newaxis], config), refusal)
 
 
 def ratio_at(

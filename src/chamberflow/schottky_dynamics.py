@@ -477,7 +477,7 @@ def sign_group(fam: SchottkyFamily, max_len: int, config: Config = DEFAULT_CONFI
         # a repeated row is already in the span: test first occurrences only
         _, first = np.unique(signs, axis=0, return_index=True)
         for i in np.sort(first):
-            m = SignVector(tuple(int(s) for s in signs[i]))
+            m = SignVector(signs[i])
             mask = _sign_mask(m)
             if mask not in span:
                 span |= {x ^ mask for x in span}
@@ -538,6 +538,8 @@ def decorrelation_discret_check(
 
     Returns {nu: (attained_bits, expected_bits, match)}.
     """
+    if n_exp < 0:
+        raise ValueError(f"n_exp = {n_exp}: the exponents 2 n_exp + nu must be non-negative")
     p = report.p
     if p == 0:
         return {(): ((), (), True)}
@@ -611,7 +613,10 @@ def jordan_line_density_probe(
     """Project Jordan vectors of all words onto the theta-line; report the
     in-window hits among words with orthogonal deviation < delta0 and the
     sorted gaps of their theta-components; with fewer than two hits both
-    gaps are None. The window is two finite numbers lo <= hi."""
+    gaps are None. The window is two finite numbers lo <= hi, and delta0 a
+    finite positive number."""
+    if not 0.0 < delta0 < np.inf:
+        raise ValueError(f"delta0 = {delta0} is not a finite positive number")
     n = fam.generators[0].g.n
     norm = np.linalg.norm(theta.coords)
     if theta.n != n or not 0.0 < norm < np.inf:

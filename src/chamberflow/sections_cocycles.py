@@ -22,10 +22,10 @@ from .linalg_core import (
     Config,
     DEFAULT_CONFIG,
     GroupElement,
-    SignVector,
+    _am_parts,
+    _first_am,
     _kan_stack,
     _lu_stack,
-    _row_norms,
     bruhat_lu,
 )
 from .flag_boundary import Flag, _comparison_margins, _comparisons, _span_flag, act, flag_of, k_iota
@@ -107,55 +107,22 @@ def eval_section(s: Section, xi: Flag, config: Config = DEFAULT_CONFIG) -> Group
     return GroupElement(value[0])
 
 
-AM_PART_TOL = 1e-8   # largest strict lower part, relative, of an (AM)N matrix
-
-
-def _upper_am_part(mat: np.ndarray, context: str) -> AMElement:
-    """Read the AM part of a matrix expected in (AM)N (upper triangular)."""
-    n = mat.shape[0]
-    strict_lower = np.linalg.norm(np.tril(mat, -1))
-    scale = max(1.0, float(np.abs(mat).max()))
-    if strict_lower > AM_PART_TOL * scale:
-        raise OutOfDomain(
-            f"{context}: strict lower part {strict_lower:.3e} does not vanish"
-        )
-    diag = np.diag(mat)
-    signs = np.sign(diag)
-    if np.any(diag == 0) or np.prod(signs) < 0:
-        raise OutOfDomain(f"{context}: diagonal has a zero entry or sign product -1")
-    return AMElement(
-        CartanVector(np.log(np.abs(diag))),
-        SignVector(tuple(int(v) for v in signs)),
-    )
-
-
 def transitions(
     s: Section, s2: Section, reps: np.ndarray, config: Config = DEFAULT_CONFIG
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """transition at each flag representative of an (N, n, n) stack.
-
-    Returns (logs, signs, inside): the (N, n) logs of the A part, not yet
-    projected to trace zero (CartanVector does that), the (N, n) signs of
-    the M part, and the mask of the flags where T is defined: inside both
-    section domains, with an AM-valued comparison.
-    """
-    n = s.n
+    """transition at each flag representative xi of an (N, n, n) stack:
+    (logs, signs, inside), the _am_parts of s(xi)^-1 s2(xi), with the mask
+    narrowed to the flags inside both section domains."""
     v, inside = eval_sections(s, reps, config)
     v2, inside2 = eval_sections(s2, reps, config)
-    k, logs, _ = _kan_stack(np.linalg.solve(v, v2))
-    # k-part must be a diagonal sign matrix for T to land in AM
-    off = (k * (1.0 - np.eye(n))).reshape(len(k), -1)
-    k_off = _row_norms(off)
-    signs = np.sign(np.diagonal(k, axis1=-2, axis2=-1))
-    return logs, signs, inside & inside2 & (k_off <= 1e-7)
+    logs, signs, in_am = _am_parts(np.linalg.solve(v, v2))
+    return logs, signs, inside & inside2 & in_am
 
 
 def transition(s: Section, s2: Section, xi: Flag, config: Config = DEFAULT_CONFIG) -> AMElement:
     """T_{s,s2}(xi): the unique AM element with s2(xi) in s(xi) N T."""
-    logs, signs, inside = transitions(s, s2, xi.rep[np.newaxis], config)
-    if not inside[0]:
-        raise OutOfDomain("xi is outside a section domain, or T_{s,s2}(xi) is not in AM")
-    return AMElement(CartanVector(logs[0]), SignVector(tuple(int(v) for v in signs[0])))
+    refusal = "xi is outside a section domain, or T_{s,s2}(xi) is not in AM"
+    return _first_am(transitions(s, s2, xi.rep[np.newaxis], config), refusal)
 
 
 def cocycle(
@@ -171,7 +138,7 @@ def cocycle(
     d = np.linalg.solve(
         eval_section(s1, gxi, config).entries, g.entries @ eval_section(s0, xi, config).entries
     )
-    return _upper_am_part(d, "cocycle")
+    return _first_am(_am_parts(d[np.newaxis]), "cocycle: the comparison matrix is not in (AM)N")
 
 
 def iwasawa_cocycle(g: GroupElement, xi: Flag) -> CartanVector:
@@ -194,7 +161,7 @@ def to_bh(g: GroupElement, s: Section, config: Config = DEFAULT_CONFIG) -> BHCoo
     xi = flag_of(g)
     xi_check = _span_flag(g.entries @ k_iota(g.n))
     d = np.linalg.solve(eval_section(s, xi, config).entries, g.entries)
-    x = _upper_am_part(d, "to_bh")
+    x = _first_am(_am_parts(d[np.newaxis]), "to_bh: the comparison matrix is not in (AM)N")
     return BHCoordinates(xi, xi_check, x, s)
 
 

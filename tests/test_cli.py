@@ -221,10 +221,13 @@ def test_configuration_error_exit_codes(workdir):
         ({"budget": {"max_words": 10}}, "budget"),
         ({"tolerances": [1e-9]}, "tolerances"),
         ({"n": None}, "n"),
+        ({"n": 0}, "n"),
+        ({"n": 1}, "n"),
     ],
     ids=[
         "unknown-tolerance", "removed-tol_det", "non-numeric-tolerance", "removed-mc_samples",
         "float-budget", "bool-budget", "unknown-top-level", "section-not-object", "null-n",
+        "zero-n", "one-n",
     ],
 )
 def test_config_file_errors_name_the_key(workdir, capsys, config, key):
@@ -261,6 +264,22 @@ def test_family_commands_refuse_an_empty_seed_list(tmp_path, capsys, command):
     out = tmp_path / "f.json"
     assert _run(command.split() + [str(fam_path)], out) == 2
     assert "configuration error: a Schottky family needs at least one seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["decor-check", "--n-exp", "-1"], "n_exp = -1"),
+        (["mix-probe", "--theta", "1,-1", "--delta0", "-1"], "delta0 = -1.0 is not a finite positive number"),
+        (["mix-probe", "--theta", "1,-1", "--delta0", "nan"], "delta0 = nan is not a finite positive number"),
+    ],
+    ids=["negative-n-exp", "negative-delta0", "nan-delta0"],
+)
+def test_word_commands_refuse_an_out_of_range_number(workdir, capsys, argv, message):
+    out = workdir / "w.json"
+    assert _run([argv[0], str(workdir / "fam2.json")] + argv[1:], out) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

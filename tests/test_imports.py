@@ -12,7 +12,9 @@ outside a function or class body, so that importing the package and its
 CLI loads no SciPy module (nor do `decompose --kind jordan`, `delta_r_eps`
 at n = 4, the word routines at n = 3 or the density routines), only
 `word_spectrum` and `stable_word_lambdas` run the word engine
-`_necklace_sweep`, the density certificate replay reads none of the
+`_necklace_sweep`, only `_am_parts` reads `AM_PART_TOL` and the
+sections layer takes no QR (`_kan_stack`) outside `eval_sections` and
+`iwasawa_cocycle`, the density certificate replay reads none of the
 routines that built the certificate, only the CLI's `main` loads a run and
 writes a report, every `verify` suite samples through the one driver, and
 outside `flags_equal` no comparison takes a `flag_distance` or
@@ -445,10 +447,10 @@ def test_the_check_sees_a_replay_that_reads_a_builder():
 ENGINE = "_necklace_sweep"
 
 
-def _engine_readers(trees):
+def _readers(trees, name):
     """module.definition of each top-level function or class that reads
-    _necklace_sweep, as a name or as an attribute, and the module alone
-    for a read outside any definition."""
+    name, as a name or as an attribute, and the module alone for a read
+    outside any definition. Binding name is no read."""
     found = set()
     for module, tree in trees.items():
         for top in tree.body:
@@ -456,16 +458,16 @@ def _engine_readers(trees):
             if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 owner = f"{module}.{top.name}"
             for node in ast.walk(top):
-                if (isinstance(node, ast.Name) and node.id == ENGINE) or (
-                    isinstance(node, ast.Attribute) and node.attr == ENGINE
-                ):
+                if not (isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)):
+                    continue
+                if (node.id if isinstance(node, ast.Name) else node.attr) == name:
                     found.add(owner)
     return sorted(found)
 
 
 def test_one_word_engine():
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    assert _engine_readers(trees) == [
+    assert _readers(trees, ENGINE) == [
         "schottky_dynamics.stable_word_lambdas",
         "schottky_dynamics.word_spectrum",
     ]
@@ -483,7 +485,31 @@ def test_the_check_sees_a_third_engine_reader():
             "sweep = a._necklace_sweep\n"
         ),
     }
-    assert _engine_readers(trees) == ["a.third", "a.word_spectrum", "b", "b.K"]
+    assert _readers(trees, ENGINE) == ["a.third", "a.word_spectrum", "b", "b.K"]
+
+
+def test_one_am_part_reader():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert _readers(trees, "AM_PART_TOL") == ["linalg_core._am_parts"]
+    # the Bruhat-Hopf layer takes no AM part from a QR: _kan_stack only
+    # gives the compact section values and the Iwasawa cocycle
+    assert _readers({"sections_cocycles": trees["sections_cocycles"]}, "_kan_stack") == [
+        "sections_cocycles.eval_sections",
+        "sections_cocycles.iwasawa_cocycle",
+    ]
+
+
+def test_the_check_sees_a_second_am_part_reader():
+    trees = {
+        "a": ast.parse(
+            "AM_PART_TOL = 1e-8\n\n"
+            "def _am_parts(mats):\n    return mats < AM_PART_TOL\n\n"
+            "def transitions(v):\n    k = _kan_stack(v)\n    return k[0] <= 1e-7\n"
+        ),
+        "b": ast.parse("import a\n\ndef cocycle(d):\n    return d.max() <= a.AM_PART_TOL\n"),
+    }
+    assert _readers(trees, "AM_PART_TOL") == ["a._am_parts", "b.cocycle"]
+    assert _readers(trees, "_kan_stack") == ["a.transitions"]
 
 
 def _top_level_readers(tree, name):

@@ -4,6 +4,8 @@ import pytest
 from chamberflow.errors import OutOfDomain
 from chamberflow.flag_boundary import (
     Flag,
+    _rotation,
+    _so_directions,
     act,
     boundary_margin_estimate,
     flag_of,
@@ -14,8 +16,10 @@ from chamberflow.flag_boundary import (
 )
 from chamberflow.linalg_core import (
     AMElement,
+    CartanVector,
     Config,
     GroupElement,
+    SignVector,
     am_distance,
     random_group_element,
     random_rotation,
@@ -72,6 +76,47 @@ def test_transition_chasles_and_inverse():
     assert am_distance(direct, composed) < 1e-8
     assert am_distance(transition(s1, s2, xi), transition(s2, s1, xi).inv()) < 1e-8
     assert am_distance(transition(s1, s1, xi), AMElement.identity(3)) < 1e-12
+
+
+def _random_am(rng, n):
+    signs = rng.choice([-1, 1], size=n)
+    signs[-1] = np.prod(signs[:-1])
+    return AMElement(CartanVector(rng.uniform(-1.0, 1.0, size=n)), SignVector(signs))
+
+
+def _verdict_and_value(f):
+    try:
+        return True, f()
+    except OutOfDomain:
+        return False, None
+
+
+def test_transition_is_the_cocycle_at_the_identity():
+    # T_{s,s'}(xi) = beta_{s,s'}(e, xi): one AM-part reader, one domain
+    rng = np.random.default_rng(12)
+    e = GroupElement(np.eye(3))
+    kinds = (unipotent_section, compact_section)
+    for i in range(40):
+        xi = _random_flag(rng, 3)
+        s, s2 = (
+            kinds[(i >> k) & 1](_random_flag(rng, 3)).with_offset(_random_am(rng, 3)) for k in (0, 1)
+        )
+        inside, t = _verdict_and_value(lambda: transition(s, s2, xi))
+        inside_beta, beta = _verdict_and_value(lambda: cocycle(s, s2, e, xi))
+        assert inside_beta == inside
+        if inside:
+            assert am_distance(t, beta) < 1e-12
+    # xi close to the boundary of a unipotent chart: the comparison matrix
+    # has entries up to 3e3, a diagonal down to 1e-4 and a strict lower part
+    # of 5e-11, so it is in (AM)N under the relative AM_PART_TOL test and
+    # transition accepts it as cocycle does, although the orthogonal factor
+    # of its QR is 4e-7 off diagonal
+    rng = np.random.default_rng(0)
+    base, other = _random_flag(rng, 3), _random_flag(rng, 3)
+    s, s2 = unipotent_section(base), unipotent_section(other)
+    xi = Flag(_rotation(_so_directions(3, 3)[0], 5e-4) @ base.rep)
+    t = transition(s, s2, xi)
+    assert am_distance(t, cocycle(s, s2, e, xi)) < 1e-9
 
 
 def test_cocycle_relation():
