@@ -131,9 +131,21 @@ def _comparisons(reps: np.ndarray, checks: np.ndarray) -> np.ndarray:
     return (k_iota(reps.shape[-1]) @ np.swapaxes(checks, -1, -2)) @ reps
 
 
+def _pair_comparisons(pairs: list) -> np.ndarray:
+    """The (N, n, n) stack of comparison matrices of a list of (xi,
+    xi_check) flag pairs."""
+    return _comparisons(np.stack([xi.rep for xi, _ in pairs]), np.stack([check.rep for _, check in pairs]))
+
+
+def _comparison_transverse(c: np.ndarray, config: Config) -> np.ndarray:
+    """is_transverse of each pair whose comparison matrix is one of an
+    (N, n, n) stack, from one stacked LU."""
+    _, _, first_fail = _lu_stack(c, config)
+    return first_fail == c.shape[-1]
+
+
 def is_transverse(xi: Flag, xi_check: Flag, config: Config = DEFAULT_CONFIG) -> bool:
-    _, _, first_fail = _lu_stack(_comparisons(xi.rep, xi_check.rep)[np.newaxis], config)
-    return bool(first_fail[0] == xi.n)
+    return bool(_comparison_transverse(_comparisons(xi.rep, xi_check.rep)[np.newaxis], config)[0])
 
 
 @functools.cache

@@ -37,8 +37,10 @@ from .flag_boundary import (
     flag_distance,
     flag_distances,
     flag_of,
-    is_transverse,
     k_iota,
+    _comparison_margins,
+    _comparison_transverse,
+    _pair_comparisons,
     _rotation,
     _rotations,
     _so_directions,
@@ -375,24 +377,27 @@ def product_estimate(
     if len(powers) != l or len(sections) != l + 1:
         raise ValueError("need l powers and l+1 sections")
     # hypothesis *: genericity plus the 6r margin, with g_0 = g_l; a
-    # non-transverse pair has margin 0, so it fails the margin test too
+    # non-transverse pair has margin 0, so it fails the margin test too.
+    # Last, xi0 must sit eps-deep inside the cell of g_1^-. All 2l + 1
+    # margins come from one stack of comparison matrices, tested in order
+    pairs, labels = [], []
     for i in range(1, l + 1):
         gi = family[i - 1]
         prev = family[i - 2] if i >= 2 else family[l - 1]
         for point, label in ((prev.attracting, f"g{i - 1}+"), (gi.attracting, f"g{i}+")):
-            m = boundary_margin_estimate(point, gi.repelling, config=config)
-            if r > m / 6.0:
-                raise HypothesisViolated("*", f"r={r} > margin/6 = {m / 6.0:.4f} for {label}")
-    # xi0 must sit eps-deep inside the cell of g_1^-
-    if boundary_margin_estimate(xi0, family[0].repelling, config=config) < eps:
+            pairs.append((point, gi.repelling))
+            labels.append(label)
+    pairs.append((xi0, family[0].repelling))
+    margins = _comparison_margins(_pair_comparisons(pairs), config)
+    for m, label in zip(margins, labels):
+        if r > m / 6.0:
+            raise HypothesisViolated("*", f"r={r} > margin/6 = {m / 6.0:.4f} for {label}")
+    if margins[-1] < eps:
         raise HypothesisViolated("*", "xi0 is within eps of the boundary of b(g1-)")
     # hypothesis **: section domains contain the points actually used
-    needed = [(sections[0], xi0)]
-    for i in range(1, l + 1):
-        needed.append((sections[i], family[i - 1].attracting))
-    for s, point in needed:
-        if not is_transverse(point, s.base, config):
-            raise HypothesisViolated("**", "a required flag is outside its section domain")
+    needed = [(xi0, sections[0].base)] + [(family[i - 1].attracting, sections[i].base) for i in range(1, l + 1)]
+    if not _comparison_transverse(_pair_comparisons(needed), config).all():
+        raise HypothesisViolated("**", "a required flag is outside its section domain")
 
     with np.errstate(over="ignore", invalid="ignore"):
         mat = np.eye(family[0].g.n)

@@ -28,7 +28,7 @@ from .linalg_core import (
     _cartan_normal_form,
     project_to_sl,
 )
-from .flag_boundary import act, boundary_margin_estimate, flags_equal, is_transverse
+from .flag_boundary import _comparison_margins, _comparisons, act, flags_equal, is_transverse
 from .loxodromy import certify_r_eps, classify, power, ratio
 from .sections_cocycles import BHCoordinates, best_section, cocycle, compact_section, covering_family
 
@@ -87,15 +87,18 @@ def build_schottky(
         for j, b in enumerate(classified[:i]):
             if flags_equal(a.attracting, b.attracting) or flags_equal(a.repelling, b.repelling):
                 raise NotGeneric(f"seeds {j} and {i} share a fixed flag")
-    m = len(classified)
-    margins = np.zeros((m, m))
-    for i, a in enumerate(classified):
-        for j, b in enumerate(classified):
-            margins[i, j] = boundary_margin_estimate(a.attracting, b.repelling, config=config)
-            if margins[i, j] < 6 * r:
-                raise NotGeneric(
-                    f"margin d(g{i}+, boundary b(g{j}-)) = {margins[i, j]:.4f} < 6r"
-                )
+    # margins[i, j] = boundary_margin_estimate(g_i+, g_j-), all from one
+    # stack of comparison matrices; the first pair below 6r in row-major
+    # order is refused
+    m, n = len(classified), classified[0].g.n
+    att = np.stack([a.attracting.rep for a in classified])
+    rep = np.stack([b.repelling.rep for b in classified])
+    margins = _comparison_margins(_comparisons(att[:, np.newaxis], rep[np.newaxis]).reshape(-1, n, n), config)
+    margins = margins.reshape(m, m)
+    low = margins < 6 * r
+    if low.any():
+        i, j = divmod(int(np.argmax(low)), m)
+        raise NotGeneric(f"margin d(g{i}+, boundary b(g{j}-)) = {margins[i, j]:.4f} < 6r")
     generators, certificates = [], []
     for idx, L in enumerate(classified):
         cert = None
@@ -148,15 +151,6 @@ def _word_array(num_gens: int, length: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def _sum_rows(a: np.ndarray) -> np.ndarray:
-    """Sum over the first axis, one term at a time in index order, so that
-    the bits of every entry do not depend on the sizes of the other axes."""
-    total = a[0]
-    for row in a[1:]:
-        total = total + row
-    return total
-
-
 def _batched_qr_positive(frames: np.ndarray):
     """QR of a stack of square matrices with positive R diagonal; returns
     (Q stack, log|diag R| stack).
@@ -165,20 +159,32 @@ def _batched_qr_positive(frames: np.ndarray):
     column one contiguous (n, B) array: one reorthogonalisation gives
     orthogonality at machine precision for every numerically nonsingular
     matrix ("twice is enough", Giraud, Langou and Rozloznik 2005). Every
-    step is an elementwise ufunc or a `_sum_rows`, so the bits of each
+    step is an elementwise ufunc on whole rows of the stack, and every sum
+    adds its terms one row at a time in index order, so the bits of each
     matrix's factors do not depend on the rest of the stack."""
     n = frames.shape[-1]
     cols = np.ascontiguousarray(frames.transpose(2, 1, 0))  # cols[j][i, b] = frames[b, i, j]
     q = np.empty_like(cols)
     norms = np.empty((n, len(frames)))
     for j in range(n):
-        v = cols[j]
+        v, basis = cols[j], q[:j]
         for _ in range(2 if j else 0):
-            coeffs = _sum_rows((q[:j] * v).swapaxes(0, 1))  # (j, B): <q_i, v>
-            v = v - _sum_rows(coeffs[:, np.newaxis] * q[:j])
-        norms[j] = np.sqrt(_sum_rows(v * v))
-        np.divide(v, norms[j], out=q[j])
-    return np.ascontiguousarray(q.transpose(2, 1, 0)), np.log(norms).T
+            # each sum accumulates in place into the first row of its terms
+            terms = basis * v  # terms[l, i] = q_l[i] v[i]
+            coeffs = terms[:, :1]  # (j, 1, B): <q_l, v>
+            for i in range(1, n):
+                coeffs += terms[:, i:i + 1]
+            terms = coeffs * basis
+            projection = terms[0]
+            for l in range(1, j):
+                projection += terms[l]
+            v = v - projection
+        squares = v * v
+        total = squares[0]
+        for i in range(1, n):
+            total += squares[i]
+        np.divide(v, np.sqrt(total, out=norms[j]), out=q[j])
+    return q.transpose(2, 1, 0), np.log(norms).T
 
 
 def _necklace_index(num_gens: int, length: int):
@@ -200,24 +206,28 @@ def _necklace_index(num_gens: int, length: int):
 class _SweepSchedule:
     """The part of a `_necklace_sweep` that depends only on the generator
     count and the word lengths, as read-only tables. Rows are the
-    necklaces of every length, shortest length first."""
+    necklaces of every length, stably sorted by the step at which they
+    start, so the rows moving at a step are a prefix and each length's
+    rows stay together, in their own order."""
 
     lengths: range
-    bounds: np.ndarray     # (len(lengths) + 1,) row bounds of each length
+    blocks: tuple          # per length: the slice of its rows
     inverses: tuple        # per length: the row of each word's necklace
     words: tuple           # per length: `_word_array` of that length
     swept: np.ndarray      # (rows, max_len) least rotations, zero-padded
     letters: np.ndarray    # (steps, rows) letter each row applies per step
-    waiting: np.ndarray    # (steps, rows, 1, 1) the row has not started
-    starting: np.ndarray   # (steps, rows, 1, 1) the row's last period starts
-    measuring: np.ndarray  # (steps, rows, 1) the row is in its last period
+    active: tuple          # per step: how many rows have started
+    starting: tuple        # per step: the block whose last period starts, or None
+    measuring: tuple       # per step: (active, 1) mask of the rows in their
+                           # last period, or None before any row is in it
 
 
 # A run sweeps a handful of (generator count, length range) keys, four in
-# the `words` benchmark (260 KB together), so 8 entries keep them all. Each
+# the `words` benchmark (144 KB together), so 8 entries keep them all. Each
 # entry passed the max_words budget before it was built: its tables take
-# one byte per letter of its words and about four per necklace and step:
-# 4 MB for 2 generators at lengths 1..16, the longest the default allows.
+# one byte per letter of its words, one or two per word for the inverses,
+# one per necklace and step and one per necklace and measured step:
+# 2.9 MB for 2 generators at lengths 1..16, the longest the default allows.
 @functools.lru_cache(maxsize=8)
 def _sweep_schedule(num_gens: int, max_len: int, min_len: int) -> _SweepSchedule:
     """The necklaces of the word lengths min_len..max_len and the step
@@ -231,21 +241,33 @@ def _sweep_schedule(num_gens: int, max_len: int, min_len: int) -> _SweepSchedule
     for (reps, _), word, lo, hi in zip(necklaces, words, bounds, bounds[1:]):
         swept[lo:hi, : word.shape[1]] = word[reps]
     span = (np.maximum(2, np.ceil(24.0 / lens).astype(int)) + 1) * lens
-    t = np.arange(span.max())[:, np.newaxis]
-    begin = t.size - span
-    measure_from = t.size - lens  # first step of the last period
+    steps = int(span.max())
+    # rows by first step; the sort is stable, so a length's rows stay
+    # together and in order, and rank[i] is the new place of row i
+    order = np.argsort(steps - span, kind="stable")
+    rank = np.argsort(order)
+    swept, lens, begin = swept[order], lens[order], steps - span[order]
+    measure_from = steps - lens  # first step of the last period
+    blocks = tuple(slice(int(rank[lo]), int(rank[lo] + hi - lo)) for lo, hi in zip(bounds, bounds[1:]))
+    inverses = [rank[lo + inverse] for lo, (_, inverse) in zip(bounds, necklaces)]
+    starting = {steps - k: block for k, block in zip(lengths, blocks)}
+    active = np.searchsorted(begin, np.arange(steps), side="right")
+    t = np.arange(steps)[:, np.newaxis]
     schedule = _SweepSchedule(
         lengths,
-        bounds,
-        tuple(inverse.astype(np.min_scalar_type(len(reps) - 1)) for reps, inverse in necklaces),
+        blocks,
+        tuple(inverse.astype(np.min_scalar_type(inverse.max())) for inverse in inverses),
         tuple(words),
         swept,
         swept[np.arange(len(lens)), (t - begin) % lens],
-        (t < begin)[:, :, np.newaxis, np.newaxis],
-        (t == measure_from)[:, :, np.newaxis, np.newaxis],
-        (t >= measure_from)[:, :, np.newaxis],
+        tuple(int(a) for a in active),
+        tuple(starting.get(step) for step in range(steps)),
+        tuple(
+            (step >= measure_from[:a, np.newaxis]) if step >= steps - max_len else None
+            for step, a in enumerate(active)
+        ),
     )
-    for table in (*schedule.inverses, *schedule.words, *vars(schedule).values()):
+    for table in (*schedule.inverses, *schedule.words, *schedule.measuring, swept, schedule.letters):
         if isinstance(table, np.ndarray):
             table.flags.writeable = False
     return schedule
@@ -275,11 +297,14 @@ def _necklace_sweep(mats: list, max_len: int, min_len: int = 1, config: Config =
     the attracting flag, and the period ends at a frame F1. Every step is
     an orthogonal-matrix QR, so the result stays accurate for words whose
     raw products overflow double precision. Rows of every length share
-    each step's QR call: a row starts late enough to end on the last step
-    and is held fixed until then, so it goes through the operations of a
-    sweep of its length alone, with the same bits. Which letter each row
-    applies at each step depends on the generator count and the lengths
-    only: `_sweep_schedule` builds those tables once per key.
+    each step's QR call: a row starts late enough to end on the last step,
+    and the rows that have started are a prefix of the schedule's row
+    order, which alone goes into the call. Its logs are added only on the
+    steps of its last period, so it goes through the operations of a sweep
+    of its length alone, with the same bits. Which rows move, start or
+    measure at each step, and which letter each applies, depends on the
+    generator count and the lengths only: `_sweep_schedule` builds those
+    tables once per key.
 
     Since w F0 = F1 R with R upper triangular and positive on the
     diagonal, and F1 = F0 S on the attracting flag, F0^T w F0 = S R: the
@@ -302,32 +327,33 @@ def _necklace_sweep(mats: list, max_len: int, min_len: int = 1, config: Config =
     schedule = _sweep_schedule(len(mats), max_len, min_len)
     rows = len(schedule.swept)
     frames = np.broadcast_to(_start_frame(n), (rows, n, n)).copy()
-    start = frames
+    start = np.empty_like(frames)
     lam = np.zeros((rows, n))
     stacked = np.asarray(mats)
-    for letters, waiting, starting, measuring in zip(
-        schedule.letters, schedule.waiting, schedule.starting, schedule.measuring
+    for letters, active, starting, measuring in zip(
+        schedule.letters, schedule.active, schedule.starting, schedule.measuring
     ):
-        if starting.any():
-            start = np.where(starting, frames, start)
-        moved, logs = _batched_qr_positive(stacked[letters] @ frames)
-        frames = np.where(waiting, frames, moved) if waiting.any() else moved
-        lam += np.where(measuring, logs, 0.0)
+        if starting is not None:
+            start[starting] = frames[starting]
+        moving = frames[:active]
+        moved, logs = _batched_qr_positive(stacked[letters[:active]] @ moving)
+        moving[...] = moved
+        if measuring is not None:
+            measured = lam[:active]
+            np.add(measured, logs, out=measured, where=measuring)
     lam -= lam.mean(axis=1, keepdims=True)
     overlap = np.einsum("bij,bij->bj", start, frames)
     stalled = np.abs(overlap).min(axis=1) < 0.5
     signs = np.where(overlap < 0, -1, 1)
     out = []
-    for k, inverse, words, lo, hi in zip(
-        schedule.lengths, schedule.inverses, schedule.words, schedule.bounds, schedule.bounds[1:]
-    ):
-        if stalled[lo:hi].any():
-            first = tuple(int(i) for i in schedule.swept[lo + np.argmax(stalled[lo:hi]), :k])
+    for k, block, inverse, words in zip(schedule.lengths, schedule.blocks, schedule.inverses, schedule.words):
+        if stalled[block].any():
+            first = tuple(int(i) for i in schedule.swept[block][np.argmax(stalled[block]), :k])
             raise NotLoxodromic(
-                f"{int(stalled[lo:hi].sum())} of {hi - lo} necklaces of length {k} have no "
-                f"converged attracting frame (first: {first})"
+                f"{int(stalled[block].sum())} of {block.stop - block.start} necklaces of length {k} "
+                f"have no converged attracting frame (first: {first})"
             )
-        out.append((words.astype(np.int64), lam[lo:hi][inverse], signs[lo:hi][inverse]))
+        out.append((words.astype(np.int64), lam[inverse], signs[inverse]))
     return out
 
 

@@ -20,6 +20,7 @@ from chamberflow.flag_boundary import (
     boundary_margin_estimate,
     flag_distance,
     flags_equal,
+    is_transverse,
     k_iota,
     opposite_flag,
     standard_flag,
@@ -199,6 +200,52 @@ def test_product_estimate_refuses_a_non_transverse_pair_by_its_margin():
     with pytest.raises(HypothesisViolated) as info:
         product_estimate([L1, L2], [1, 1], L2.attracting, sections, 0.1, 0.1, 0.5)
     assert info.value.clause == "*"
+
+
+def _per_pair_refusal(family, xi0, sections, r, eps):
+    """Hypotheses * and ** of product_estimate, one pair at a time in their
+    order: the detail of the first refusal, or None."""
+    l = len(family)
+    for i in range(1, l + 1):
+        gi = family[i - 1]
+        prev = family[i - 2] if i >= 2 else family[l - 1]
+        for point, label in ((prev.attracting, f"g{i - 1}+"), (gi.attracting, f"g{i}+")):
+            m = boundary_margin_estimate(point, gi.repelling)
+            if r > m / 6.0:
+                return "*", f"r={r} > margin/6 = {m / 6.0:.4f} for {label}"
+    if boundary_margin_estimate(xi0, family[0].repelling) < eps:
+        return "*", "xi0 is within eps of the boundary of b(g1-)"
+    needed = [(sections[0], xi0)] + [(sections[i], family[i - 1].attracting) for i in range(1, l + 1)]
+    if not all(is_transverse(point, s.base) for s, point in needed):
+        return "**", "a required flag is outside its section domain"
+    return None
+
+
+def test_product_estimate_refuses_as_the_per_pair_checks_do(sl3_triple):
+    # the stacked margins and transversality tests refuse the same
+    # hypothesis, with the same message, as per-pair calls
+    family = list(sl3_triple)
+    good = [compact_section(family[0].repelling)] + [compact_section(L.repelling) for L in family]
+    # g1+ is not transverse to itself: its section domain misses it
+    bad = [good[0], compact_section(family[0].attracting)] + good[2:]
+    margins = sorted(
+        boundary_margin_estimate(point, L.repelling) for L in family for point in (M.attracting for M in family)
+    )
+    seen = set()
+    for sections in (good, bad):
+        for xi0 in (family[2].attracting, family[0].repelling):
+            for r in [0.01] + [1.0001 * m / 6 for m in margins]:
+                for eps in (0.01, 0.5, 2.0):
+                    want = _per_pair_refusal(family, xi0, sections, r, eps)
+                    try:
+                        product_estimate(family, [2] * 3, xi0, sections, r, eps, 0.5)
+                        got = None
+                    except HypothesisViolated as exc:
+                        got = exc.clause, str(exc).split(": ", 1)[1]
+                    assert got == want, (r, eps)
+                    seen.add(None if want is None else (want[0], want[1].split(" ", 1)[0][:2]))
+    # every refusal, and a pass, came up
+    assert seen == {None, ("*", "r="), ("*", "xi"), ("**", "a")}
 
 
 def test_product_estimate_refuses_products_out_of_range(sl3_triple):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from types import SimpleNamespace
 
 import mpmath
@@ -10,6 +11,7 @@ from scipy.optimize import linprog, nnls
 
 from chamberflow import schottky_dynamics
 from chamberflow.errors import BudgetExceeded, NotGeneric, NotLoxodromic
+from chamberflow.flag_boundary import boundary_margin_estimate
 from chamberflow.linalg_core import (
     AMElement,
     CartanVector,
@@ -96,6 +98,13 @@ def conjugated4(seed, logs, signs=(1, 1, 1, 1)):
     return project_to_sl(h @ np.diag(np.multiply(signs, np.exp(logs))) @ h.T).entries
 
 
+def _sl4_pair():
+    return [
+        conjugated4(412, [4.0, 1.5, -1.5, -4.0]),
+        conjugated4(413, [5.0, 1.0, -2.0, -4.0], signs=(-1, 1, -1, 1)),
+    ]
+
+
 def _check_necklaces_against_mpmath(mats, max_len):
     """Every word up to max_len against the exact eigenvalues of its
     necklace's least rotation."""
@@ -122,11 +131,7 @@ def test_necklace_words_against_mpmath_in_sl4():
     # n = 4 generators of condition number 3e3 and 8e3; the certified
     # powers of test_limit_cone_in_sl4 reach 4e15, where forming one
     # product already loses the smallest eigenvalue
-    mats = [
-        conjugated4(412, [4.0, 1.5, -1.5, -4.0]),
-        conjugated4(413, [5.0, 1.0, -2.0, -4.0], signs=(-1, 1, -1, 1)),
-    ]
-    _check_necklaces_against_mpmath(mats, 4)
+    _check_necklaces_against_mpmath(_sl4_pair(), 4)
 
 
 def test_stable_word_lambdas_sweeps_one_word_per_necklace(cone_family, monkeypatch):
@@ -166,7 +171,7 @@ def test_all_length_sweep_matches_one_length_sweeps(family, max_len, request):
 
 def _tables(schedule):
     """Every array a sweep schedule holds."""
-    fields = (*schedule.inverses, *schedule.words, *vars(schedule).values())
+    fields = (*schedule.inverses, *schedule.words, *schedule.measuring, *vars(schedule).values())
     return [a for a in fields if isinstance(a, np.ndarray)]
 
 
@@ -212,7 +217,9 @@ def test_sweep_schedules_are_read_only_and_compact():
     for key in [(2, 11, 1), (2, 7, 1), (3, 7, 1), (3, 5, 1), (3, 4, 4)]:
         schedule = schottky_dynamics._sweep_schedule(*key)
         tables = _tables(schedule)
-        assert len(tables) == 6 + 2 * len(schedule.lengths)
+        # swept, letters, the inverses and words of each length, and one
+        # measuring mask on each of the last max_len steps
+        assert len(tables) == 2 + 2 * len(schedule.lengths) + key[1]
         assert not any(table.flags.writeable for table in tables), key
         for letters in (schedule.letters, schedule.swept, *schedule.words):
             assert letters.dtype == np.uint8
@@ -221,6 +228,18 @@ def test_sweep_schedules_are_read_only_and_compact():
             assert np.array_equal(words, schottky_dynamics._word_array(key[0], words.shape[1]))
         with pytest.raises(ValueError, match="read-only"):
             schedule.letters[0, 0] = 1
+        # the rows that have started are a prefix that only grows; each
+        # length's block starts its last period once, and a row measures
+        # from then on
+        rows = len(schedule.swept)
+        assert list(schedule.active) == sorted(schedule.active) and schedule.active[-1] == rows
+        assert sorted(b for b in schedule.starting if b is not None) == sorted(schedule.blocks)
+        for block in schedule.blocks:
+            since = schedule.starting.index(block)
+            for step, measuring in enumerate(schedule.measuring[since:], start=since):
+                assert measuring.shape == (schedule.active[step], 1)
+                assert measuring[block].all()
+            assert all(m is None or not m[block].any() for m in schedule.measuring[:since])
     frame = schottky_dynamics._start_frame(3)
     assert not frame.flags.writeable
     assert np.allclose(frame.T @ frame, np.eye(3))
@@ -274,8 +293,11 @@ def test_limit_cone_sweeps_all_lengths_in_one_qr_call_per_step(cone_family, monk
     monkeypatch.setattr(schottky_dynamics, "_batched_qr_positive", counting)
     limit_cone(cone_family, 11)
     # 449 binary necklaces of lengths 1..11; length 11's schedule of
-    # (3 + 1) periods is the longest, 44 steps
-    assert batches == [449] * 44
+    # (3 + 1) periods is the longest, 44 steps. Each step's call takes only
+    # the rows that have started: the 188 of length 11 first, all at the end
+    assert len(batches) == 44 and sum(batches) == 17668
+    assert batches[0] == 188 and batches[-1] == 449
+    assert batches == sorted(batches)
 
 
 def test_sign_group_and_probe_sweep_once(cone_family, monkeypatch):
@@ -288,12 +310,13 @@ def test_sign_group_and_probe_sweep_once(cone_family, monkeypatch):
 
     monkeypatch.setattr(schottky_dynamics, "_batched_qr_positive", counting)
     sign_group(cone_family, 7)
-    # 57 binary necklaces of lengths 1..7; length 7's (4 + 1) periods, 35 steps
-    assert batches == [57] * 35
+    # 57 binary necklaces of lengths 1..7; length 7's (4 + 1) periods, 35
+    # steps, each on the rows that have started
+    assert len(batches) == 35 and sum(batches) == 1764 and batches[-1] == 57
     batches.clear()
     theta = CartanVector(np.array([1.0, 0.2, -1.2]))
     jordan_line_density_probe(cone_family, theta, (10.0, 190.0), 11, delta0=0.5)
-    assert batches == [449] * 44
+    assert len(batches) == 44 and sum(batches) == 17668 and batches[-1] == 449
 
 
 def _graded_stack(rng, n, size, max_cond):
@@ -331,12 +354,110 @@ def test_batched_qr_kernel(n, size):
 
 
 def test_batched_qr_kernel_bits_do_not_depend_on_the_stack():
-    a = _graded_stack(np.random.default_rng(5), 3, 500, 1e12)
-    q, logs = schottky_dynamics._batched_qr_positive(a)
-    for rows in (slice(0, 1), slice(7, 9), slice(123, 311)):
-        q_part, logs_part = schottky_dynamics._batched_qr_positive(a[rows])
-        assert q_part.tobytes() == np.ascontiguousarray(q[rows]).tobytes()
-        assert logs_part.tobytes() == np.ascontiguousarray(logs[rows]).tobytes()
+    for n in (2, 3, 4, 5):
+        a = _graded_stack(np.random.default_rng(5), n, 500, 1e12)
+        q, logs = schottky_dynamics._batched_qr_positive(a)
+        # slices of the stack, and the prefix views frames[:a] the sweep passes
+        for rows in (slice(0, 1), slice(7, 9), slice(123, 311), slice(0, 2), slice(0, 188), slice(0, 449)):
+            q_part, logs_part = schottky_dynamics._batched_qr_positive(a[rows])
+            assert q_part.tobytes() == np.ascontiguousarray(q[rows]).tobytes(), (n, rows)
+            assert logs_part.tobytes() == np.ascontiguousarray(logs[rows]).tobytes(), (n, rows)
+
+
+def _frozen_sum_rows(a):
+    total = a[0]
+    for row in a[1:]:
+        total = total + row
+    return total
+
+
+def _frozen_qr(frames):
+    """The word engine's Gram-Schmidt QR as it stood before its sums were
+    written as in-place row adds: the oracle for its bits."""
+    n = frames.shape[-1]
+    cols = np.ascontiguousarray(frames.transpose(2, 1, 0))
+    q = np.empty_like(cols)
+    norms = np.empty((n, len(frames)))
+    for j in range(n):
+        v = cols[j]
+        for _ in range(2 if j else 0):
+            coeffs = _frozen_sum_rows((q[:j] * v).swapaxes(0, 1))
+            v = v - _frozen_sum_rows(coeffs[:, np.newaxis] * q[:j])
+        norms[j] = np.sqrt(_frozen_sum_rows(v * v))
+        np.divide(v, norms[j], out=q[j])
+    return np.ascontiguousarray(q.transpose(2, 1, 0)), np.log(norms).T
+
+
+def _frozen_sweep(mats, max_len, min_len):
+    """The word engine's step loop as it stood before it stepped only the
+    rows that have started: every row goes into every QR call, rows not yet
+    started are put back by np.where, and logs are masked in on every
+    step. Rows are in length order."""
+    lengths = range(min_len, max_len + 1)
+    necklaces = [schottky_dynamics._necklace_index(len(mats), k) for k in lengths]
+    words = [schottky_dynamics._word_array(len(mats), k) for k in lengths]
+    bounds = np.cumsum([0] + [len(reps) for reps, _ in necklaces])
+    lens = np.repeat(lengths, np.diff(bounds))
+    swept = np.zeros((len(lens), max_len), dtype=words[0].dtype)
+    for (reps, _), word, lo, hi in zip(necklaces, words, bounds, bounds[1:]):
+        swept[lo:hi, : word.shape[1]] = word[reps]
+    span = (np.maximum(2, np.ceil(24.0 / lens).astype(int)) + 1) * lens
+    t = np.arange(span.max())[:, np.newaxis]
+    begin = t.size - span
+    measure_from = t.size - lens
+    n = mats[0].shape[0]
+    frames = np.broadcast_to(schottky_dynamics._start_frame(n), (len(lens), n, n)).copy()
+    start = frames
+    lam = np.zeros((len(lens), n))
+    stacked = np.asarray(mats)
+    for letters, waiting, starting, measuring in zip(
+        swept[np.arange(len(lens)), (t - begin) % lens],
+        (t < begin)[:, :, np.newaxis, np.newaxis],
+        (t == measure_from)[:, :, np.newaxis, np.newaxis],
+        (t >= measure_from)[:, :, np.newaxis],
+    ):
+        if starting.any():
+            start = np.where(starting, frames, start)
+        moved, logs = _frozen_qr(stacked[letters] @ frames)
+        frames = np.where(waiting, frames, moved) if waiting.any() else moved
+        lam += np.where(measuring, logs, 0.0)
+    lam -= lam.mean(axis=1, keepdims=True)
+    overlap = np.einsum("bij,bij->bj", start, frames)
+    signs = np.where(overlap < 0, -1, 1)
+    return [
+        (word.astype(np.int64), lam[lo:hi][inverse], signs[lo:hi][inverse])
+        for (_, inverse), word, lo, hi in zip(necklaces, words, bounds, bounds[1:])
+    ]
+
+
+@pytest.mark.parametrize(
+    "family",
+    ["cone_family", "sign_family", "single_sign_family", "shared_lead_family", "words_triple", "sl4"],
+)
+def test_sweep_matches_the_frozen_step_loop_bit_for_bit(family, request):
+    if family == "sl4":
+        mats = _sl4_pair()
+    else:
+        mats = [L.g.entries for L in request.getfixturevalue(family).generators]
+    for max_len, min_len in [(6, 1), (5, 5), (8, 1), (4, 2), (11, 1), (7, 1)]:
+        if sum(len(mats) ** k for k in range(min_len, max_len + 1)) > Config().max_words:
+            continue
+        got = schottky_dynamics._necklace_sweep(mats, max_len, min_len)
+        want = _frozen_sweep(mats, max_len, min_len)
+        assert len(got) == len(want) == max_len - min_len + 1
+        for got_length, want_length in zip(got, want):
+            for a, b in zip(got_length, want_length):
+                assert a.shape == b.shape and a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes(), (family, max_len, min_len)
+
+
+def test_frozen_qr_is_the_kernel_bit_for_bit():
+    rng = np.random.default_rng(27)
+    for n in (2, 3, 4, 5):
+        for size in (1, 7, 449):
+            a = _graded_stack(rng, n, size, 1e12)
+            for got, want in zip(schottky_dynamics._batched_qr_positive(a), _frozen_qr(a)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def _uncertified_family(mats):
@@ -471,6 +592,24 @@ def test_build_schottky_decides_margins_before_certifying(monkeypatch):
     with pytest.raises(NotGeneric, match="< 6r"):
         build_schottky([g1, g2], 0.2, 0.16)
     assert calls == []
+
+
+def test_build_schottky_margins_match_per_pair_estimates(sl3_triple):
+    # the m x m margins come from one stack; each equals its per-pair
+    # boundary_margin_estimate bit for bit
+    seeds = [L.g for L in sl3_triple]
+    fam = build_schottky(seeds, 0.17, 0.17)
+    per_pair = np.array([[boundary_margin_estimate(a.attracting, b.repelling) for b in sl3_triple] for a in sl3_triple])
+    assert fam.pairwise_margins.shape == (3, 3)
+    assert fam.pairwise_margins.tobytes() == per_pair.tobytes()
+    # past a margin's 6r, the refusal names the first pair below 6r in
+    # row-major order, as a loop over the pairs would
+    for margin in np.unique(per_pair):
+        r = 1.0001 * margin / 6
+        i, j = next((i, j) for i in range(3) for j in range(3) if per_pair[i, j] < 6 * r)
+        message = f"margin d(g{i}+, boundary b(g{j}-)) = {per_pair[i, j]:.4f} < 6r"
+        with pytest.raises(NotGeneric, match=f"^{re.escape(message)}$"):
+            build_schottky(seeds, r, 0.17)
 
 
 def test_limit_cone_single_generator(cone_family):
