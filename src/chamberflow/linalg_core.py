@@ -36,7 +36,6 @@ DEFAULT_CONFIG = Config()
 
 TOL_DET = 1e-9                   # relative determinant tolerance of GroupElement
 MAX_SAMPLE_TRIES = 100           # Gaussian draws random_group_element may reject
-AM_PART_TOL = 1e-8               # largest strict lower part, relative, of an (AM)N matrix
 
 
 def _trace_free(coords: np.ndarray) -> np.ndarray:
@@ -246,25 +245,9 @@ def _kan_stack(mats: np.ndarray):
     return k, np.log(rdiag), r / rdiag[..., :, np.newaxis]
 
 
-def _am_parts(mats: np.ndarray):
-    """The AM part of each matrix of an (N, n, n) stack expected in (AM)N:
-    (logs, signs, in_am), the (N, n) logs of |diagonal| (not yet trace
-    free), the (N, n) diagonal signs, and the mask of the finite matrices
-    with a strict lower part of norm <= AM_PART_TOL max(1, max|entry|) and
-    diagonal signs of product +1 (so no zero); elsewhere logs and signs
-    are placeholders."""
-    strict_lower = _row_norms(np.tril(mats, -1).reshape(len(mats), -1))
-    scale = np.maximum(1.0, np.abs(mats).max(axis=(-2, -1)))
-    diag = np.diagonal(mats, axis1=-2, axis2=-1)
-    with np.errstate(divide="ignore"):
-        logs, signs = np.log(np.abs(diag)), np.sign(diag)
-    in_am = np.isfinite(scale) & (strict_lower <= AM_PART_TOL * scale) & (signs.prod(axis=-1) > 0)
-    return logs, signs, in_am
-
-
 def _first_am(parts, refusal: str) -> AMElement:
     """The AMElement of the first entry of stacked (logs, signs, inside), as
-    _am_parts returns them; OutOfDomain(refusal) when it is not inside."""
+    the section reads return them; OutOfDomain(refusal) when it is not inside."""
     logs, signs, inside = parts
     if not inside[0]:
         raise OutOfDomain(refusal)
@@ -345,8 +328,7 @@ def bruhat_lu(g: GroupElement, config: Config = DEFAULT_CONFIG):
     if k < g.n:
         raise NotInBigCell(k, float(a[0, k, k]))
     lower, a = lower[0], np.triu(a[0])
-    logs, signs, _ = _am_parts(a[np.newaxis])
-    x = AMElement(CartanVector(logs[0]), SignVector(signs[0]))
+    x = AMElement(CartanVector(np.log(np.abs(np.diag(a)))), SignVector(np.sign(np.diag(a))))
     u_plus = a / np.diag(a)[:, np.newaxis]
     return lower, x, u_plus
 

@@ -181,7 +181,7 @@ def ratio(
     config: Config = DEFAULT_CONFIG,
 ) -> AMElement:
     """R_{s1,s2}(xi_check; xi1, xi2) = T_{s1,[xi_check]}(xi1) T_{[xi_check],s2}(xi2)."""
-    refusal = "a flag is outside a section domain, or a transition is not in AM"
+    refusal = "a flag is off a section's chart, or read with sign product -1"
     return _first_am(ratios(s1, s2, xi_check, xi1.rep[np.newaxis], xi2.rep[np.newaxis], config), refusal)
 
 

@@ -605,7 +605,7 @@ def decorrelation_discret_check(
         nu = tuple((bits >> i) & 1 for i in range(p))
         # accumulate the product cocycle one witness factor at a time, never
         # forming a raw power (the cocycle relation is exact), keeping every
-        # solve well conditioned
+        # chart read well conditioned
         beta = AMElement.identity(n)
         point = xi0
         s_prev = sections[0]

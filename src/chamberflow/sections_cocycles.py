@@ -22,13 +22,12 @@ from .linalg_core import (
     Config,
     DEFAULT_CONFIG,
     GroupElement,
-    _am_parts,
     _first_am,
     _kan_stack,
     _lu_stack,
     bruhat_lu,
 )
-from .flag_boundary import Flag, _comparison_margins, _comparisons, _span_flag, act, flag_of, k_iota
+from .flag_boundary import Flag, _comparison_margins, _comparisons, _span_flag, k_iota
 
 
 @dataclass(frozen=True)
@@ -107,38 +106,50 @@ def eval_section(s: Section, xi: Flag, config: Config = DEFAULT_CONFIG) -> Group
     return GroupElement(value[0])
 
 
+def _section_reads(s: Section, reps: np.ndarray, config: Config = DEFAULT_CONFIG):
+    """(logs, signs, inside) of the upper-triangular R with s(xi) = rep R at
+    each orthonormal representative rep of an (N, n, n) stack: the logs of
+    |diag R| (not yet trace free), its signs, and the mask of the flags in
+    the chart whose signs have product +1 (elsewhere placeholders). For the
+    chart LU J base^T translate^T rep = L U with pivots p and the offset x,
+    s(xi) is rep U^-1 x (unipotent) or its K part rep sign(p) x (compact)."""
+    if s.translate is not None:
+        reps = np.swapaxes(s.translate, -1, -2) @ reps
+    _, a, first_fail = _lu_stack(_comparisons(reps, s.base.rep), config)
+    pivots = np.diagonal(a, axis1=-2, axis2=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = -np.log(np.abs(pivots)) if s.kind == "unipotent" else np.zeros(pivots.shape)
+        signs = np.sign(pivots) * s.offset.m.signs
+        inside = (first_fail == s.n) & (signs.prod(axis=-1) > 0)
+    return logs + s.offset.a.coords, signs, inside
+
+
 def transitions(
     s: Section, s2: Section, reps: np.ndarray, config: Config = DEFAULT_CONFIG
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """transition at each flag representative xi of an (N, n, n) stack:
-    (logs, signs, inside), the _am_parts of s(xi)^-1 s2(xi), with the mask
-    narrowed to the flags inside both section domains."""
-    v, inside = eval_sections(s, reps, config)
-    v2, inside2 = eval_sections(s2, reps, config)
-    logs, signs, in_am = _am_parts(np.linalg.solve(v, v2))
-    return logs, signs, inside & inside2 & in_am
+    (logs, signs, inside) of s(xi)^-1 s2(xi) = R^-1 R2 for the reads
+    s(xi) = xi R and s2(xi) = xi R2, inside both section domains."""
+    logs, signs, inside = _section_reads(s, reps, config)
+    logs2, signs2, inside2 = _section_reads(s2, reps, config)
+    return logs2 - logs, signs * signs2, inside & inside2
 
 
 def transition(s: Section, s2: Section, xi: Flag, config: Config = DEFAULT_CONFIG) -> AMElement:
     """T_{s,s2}(xi): the unique AM element with s2(xi) in s(xi) N T."""
-    refusal = "xi is outside a section domain, or T_{s,s2}(xi) is not in AM"
-    return _first_am(transitions(s, s2, xi.rep[np.newaxis], config), refusal)
+    parts = transitions(s, s2, xi.rep[np.newaxis], config)
+    return _first_am(parts, "xi is off a section's chart, or read with sign product -1")
 
 
-def cocycle(
-    s1: Section,
-    s0: Section,
-    g: GroupElement,
-    xi: Flag,
-    config: Config = DEFAULT_CONFIG,
-) -> AMElement:
+def cocycle(s1: Section, s0: Section, g: GroupElement, xi: Flag, config: Config = DEFAULT_CONFIG) -> AMElement:
     """beta_{s1,s0}(g, xi): the unique AM element with
-    g s0(xi) in s1(g xi) beta N."""
-    gxi = act(g, xi)
-    d = np.linalg.solve(
-        eval_section(s1, gxi, config).entries, g.entries @ eval_section(s0, xi, config).entries
-    )
-    return _first_am(_am_parts(d[np.newaxis]), "cocycle: the comparison matrix is not in (AM)N")
+    g s0(xi) in s1(g xi) beta N; for g xi = k exp(sigma) u (KAN) and the
+    reads s0(xi) = xi R0, s1(g xi) = k R1, the diagonal of R1^-1 exp(sigma) u R0."""
+    k, sigma, _ = _kan_stack((g.entries @ xi.rep)[np.newaxis])
+    logs0, signs0, inside0 = _section_reads(s0, xi.rep[np.newaxis], config)
+    logs1, signs1, inside1 = _section_reads(s1, k, config)
+    parts = sigma + logs0 - logs1, signs0 * signs1, inside0 & inside1
+    return _first_am(parts, "cocycle: xi or g xi is off its chart, or read with sign product -1")
 
 
 def iwasawa_cocycle(g: GroupElement, xi: Flag) -> CartanVector:
@@ -157,12 +168,14 @@ class BHCoordinates:
 
 
 def to_bh(g: GroupElement, s: Section, config: Config = DEFAULT_CONFIG) -> BHCoordinates:
-    """(g eta0, g eta0_check ; x)_s with g = s(g eta0) u x, u in N, x in AM."""
-    xi = flag_of(g)
+    """(g eta0, g eta0_check ; x)_s with g = s(g eta0) u x, u in N, x in AM;
+    for g = k exp(sigma) u' (KAN) and the read s(g eta0) = k R, x is the
+    diagonal of R^-1 exp(sigma) u'."""
+    k, sigma, _ = _kan_stack(g.entries[np.newaxis])
     xi_check = _span_flag(g.entries @ k_iota(g.n))
-    d = np.linalg.solve(eval_section(s, xi, config).entries, g.entries)
-    x = _first_am(_am_parts(d[np.newaxis]), "to_bh: the comparison matrix is not in (AM)N")
-    return BHCoordinates(xi, xi_check, x, s)
+    logs, signs, inside = _section_reads(s, k, config)
+    x = _first_am((sigma - logs, signs, inside), "to_bh: g eta0 is off the chart, or read with sign product -1")
+    return BHCoordinates(Flag(k[0]), xi_check, x, s)
 
 
 def _n_part_from_flags(s_xi: np.ndarray, xi_check: Flag, config: Config) -> np.ndarray:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, NotInBigCell, NotLoxodromic, NotTransverse, OutOfDomain
 from .linalg_core import (
+    AMElement,
     Config,
     DEFAULT_CONFIG,
     GroupElement,
@@ -36,7 +37,7 @@ from .sections_cocycles import (
     transition,
     unipotent_section,
 )
-from .loxodromy import LoxodromicData, classify, extended_jordan, power
+from .loxodromy import LoxodromicData, classify, extended_jordan
 
 
 # draws a suite may make per sample it must deliver.  The loxodromy suite is
@@ -196,7 +197,10 @@ def _loxodromy_draw(rng, n, config):
     xi = Flag(random_rotation(rng, n))
     if not is_transverse(xi, L.repelling, config):
         raise NotTransverse("xi is not transverse to the repelling flag")
-    lhs = cocycle(s_rep, s_rep, power(L, 3).g, xi, config)
+    # beta(g^3, xi) from one-step cocycles along xi, g xi, g^2 xi: a formed g^3 loses digits
+    lhs = AMElement.identity(n)
+    for _ in range(3):
+        lhs, xi = cocycle(s_rep, s_rep, L.g, xi, config) * lhs, act(L.g, xi)
     rhs = extended_jordan(s_rep, L, config) ** 3
     yield "power-cocycle-formula", am_distance(lhs, rhs)
     # A-part of the extended Jordan projection is the Jordan projection

@@ -329,6 +329,19 @@ def test_verify_failure_reporting(workdir):
     assert '"passed": false' in body
 
 
+@pytest.mark.parametrize("seed, n", [(1397140366, 3), (1963603343, 4)])
+def test_verify_passes_at_seeds_where_the_power_cocycle_drifted(workdir, seed, n):
+    # beta(g^3, xi) read from g^3 itself missed L(g)^3 by 6.28e-8 and
+    # 2.07e-8 at these seeds, over tol_id = 1e-8
+    cfg = workdir / "n.json"
+    cfg.write_text(json.dumps({"n": n}))
+    out = workdir / "v.json"
+    assert main(["verify", "--seed", str(seed), "--config", str(cfg), "--output", str(out)]) == 0
+    body = json.JSONDecoder().raw_decode(out.read_text())[0]
+    assert body["config"]["n"] == n
+    assert body["identities"] and all(row["passed"] for row in body["identities"])
+
+
 def test_env_seed_overrides_flag(workdir, monkeypatch):
     out1 = workdir / "v1.json"
     out2 = workdir / "v2.json"

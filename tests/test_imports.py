@@ -12,9 +12,10 @@ outside a function or class body, so that importing the package and its
 CLI loads no SciPy module (nor do `decompose --kind jordan`, `delta_r_eps`
 at n = 4, the word routines at n = 3 or the density routines), only
 `word_spectrum` and `stable_word_lambdas` run the word engine
-`_necklace_sweep`, only `_am_parts` reads `AM_PART_TOL` and the
-sections layer takes no QR (`_kan_stack`) outside `eval_sections` and
-`iwasawa_cocycle`, the density certificate replay reads none of the
+`_necklace_sweep`, no module names `AM_PART_TOL`, `transitions`,
+`cocycle` and `to_bh` neither solve nor evaluate a section and only
+`eval_sections` and `_section_reads` run the sections layer's chart LU
+(`_lu_stack`), the density certificate replay reads none of the
 routines that built the certificate, only the CLI's `main` loads a run and
 writes a report, every `verify` suite samples through the one driver, and
 outside `flags_equal` no comparison takes a `flag_distance` or
@@ -488,28 +489,61 @@ def test_the_check_sees_a_third_engine_reader():
     assert _readers(trees, ENGINE) == ["a.third", "a.word_spectrum", "b", "b.K"]
 
 
+AM_READERS = ("transitions", "cocycle", "to_bh")
+PIVOT_READERS = ["sections_cocycles._section_reads", "sections_cocycles.eval_sections"]
+
+
+def _am_reader_bypasses(trees):
+    """Where an AM part is read other than from the chart LU's pivots: each
+    module that names AM_PART_TOL, each np.linalg.solve or section
+    evaluation that transitions, cocycle or to_bh calls, and the readers of
+    _lu_stack in sections_cocycles when they are not PIVOT_READERS."""
+    found = []
+    for module, tree in trees.items():
+        if any(
+            "AM_PART_TOL" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+            for node in ast.walk(tree)
+        ):
+            found.append(f"{module} names AM_PART_TOL")
+        for top in tree.body:
+            if not (isinstance(top, ast.FunctionDef) and top.name in AM_READERS):
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    called = ast.unparse(node.func)
+                    if called == "np.linalg.solve" or called.split(".")[-1] in ("eval_section", "eval_sections"):
+                        found.append(f"{module}.{top.name} calls {called}")
+    if "sections_cocycles" in trees:
+        readers = _readers({"sections_cocycles": trees["sections_cocycles"]}, "_lu_stack")
+        if readers != PIVOT_READERS:
+            found.append(f"_lu_stack is read by {readers}")
+    return found
+
+
 def test_one_am_part_reader():
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    assert _readers(trees, "AM_PART_TOL") == ["linalg_core._am_parts"]
-    # the Bruhat-Hopf layer takes no AM part from a QR: _kan_stack only
-    # gives the compact section values and the Iwasawa cocycle
-    assert _readers({"sections_cocycles": trees["sections_cocycles"]}, "_kan_stack") == [
-        "sections_cocycles.eval_sections",
-        "sections_cocycles.iwasawa_cocycle",
-    ]
+    assert _am_reader_bypasses(trees) == []
 
 
 def test_the_check_sees_a_second_am_part_reader():
     trees = {
-        "a": ast.parse(
-            "AM_PART_TOL = 1e-8\n\n"
-            "def _am_parts(mats):\n    return mats < AM_PART_TOL\n\n"
-            "def transitions(v):\n    k = _kan_stack(v)\n    return k[0] <= 1e-7\n"
+        "a": ast.parse("from linalg_core import AM_PART_TOL\n"),
+        "sections_cocycles": ast.parse(
+            "def _section_reads(s, reps):\n    return _lu_stack(reps)\n\n"
+            "def eval_sections(s, reps):\n    return _lu_stack(reps)\n\n"
+            "def transitions(s, s2, reps):\n    return np.linalg.solve(eval_sections(s, reps), reps)\n\n"
+            "def cocycle(s1, s0, g, xi):\n    return eval_section(s1, xi)\n\n"
+            "def to_bh(g, s):\n    return _lu_stack(g)[1]\n"
         ),
-        "b": ast.parse("import a\n\ndef cocycle(d):\n    return d.max() <= a.AM_PART_TOL\n"),
     }
-    assert _readers(trees, "AM_PART_TOL") == ["a._am_parts", "b.cocycle"]
-    assert _readers(trees, "_kan_stack") == ["a.transitions"]
+    assert _am_reader_bypasses(trees) == [
+        "a names AM_PART_TOL",
+        "sections_cocycles.transitions calls np.linalg.solve",
+        "sections_cocycles.transitions calls eval_sections",
+        "sections_cocycles.cocycle calls eval_section",
+        "_lu_stack is read by ['sections_cocycles._section_reads', "
+        "'sections_cocycles.eval_sections', 'sections_cocycles.to_bh']",
+    ]
 
 
 def _top_level_readers(tree, name):

@@ -3,14 +3,12 @@ import pytest
 
 from chamberflow.errors import BudgetExceeded, NonInvertible, NotInBigCell, NotLoxodromic
 from chamberflow.linalg_core import (
-    AM_PART_TOL,
     AMElement,
     CartanVector,
     GroupElement,
     DEFAULT_CONFIG,
     MAX_SAMPLE_TRIES,
     SignVector,
-    _am_parts,
     _cartan_normal_form,
     _kan_stack,
     _lu_stack,
@@ -272,46 +270,3 @@ def test_stacked_lu_matches_the_per_matrix_loop(n):
     assert first_fail[-n:].tolist() == list(range(n))
 
 
-def _am_part_cases(rng, n):
-    """(matrix, in (AM)N) pairs: upper triangular AM N elements, one with a
-    strict lower part just inside and one just outside the relative
-    tolerance, and refusals of each kind."""
-    cases = []
-    for _ in range(6):
-        signs = rng.choice([-1.0, 1.0], size=n)
-        signs[-1] = np.prod(signs[:-1])
-        diag = signs * np.exp(rng.uniform(-3.0, 3.0, size=n))
-        cases.append((np.triu(rng.standard_normal((n, n)) * 40.0, 1) + np.diag(diag), True))
-    big = cases[0][0]
-    scale = max(1.0, float(np.abs(big).max()))
-    for factor, inside in ((0.5, True), (2.0, False)):
-        mat = big.copy()
-        mat[-1, 0] = factor * AM_PART_TOL * scale
-        cases.append((mat, inside))
-    flipped = big.copy()
-    flipped[0] = -flipped[0]
-    zero = big.copy()
-    zero[1, 1] = 0.0
-    cases += [(flipped, False), (zero, False)]
-    for bad in (np.nan, np.inf):
-        mat = big.copy()
-        mat[0, -1] = bad
-        cases.append((mat, False))
-    return cases
-
-
-@pytest.mark.parametrize("n", [2, 3, 5])
-def test_stacked_am_parts_match_the_one_matrix_read(n):
-    cases = _am_part_cases(np.random.default_rng(90 + n), n)
-    mats = np.asarray([mat for mat, _ in cases])
-    logs, signs, in_am = _am_parts(mats)
-    assert in_am.tolist() == [inside for _, inside in cases]
-    for i, mat in enumerate(mats):
-        one = _am_parts(mat[np.newaxis])
-        assert np.array_equal(one[0][0], logs[i], equal_nan=True)
-        assert np.array_equal(one[1][0], signs[i], equal_nan=True)
-        assert one[2][0] == in_am[i]
-        if in_am[i]:
-            diag = np.diag(mat)
-            assert np.array_equal(logs[i], np.log(np.abs(diag)))
-            assert np.array_equal(signs[i], np.sign(diag))

@@ -1,5 +1,6 @@
 import dataclasses
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -259,6 +260,10 @@ def test_product_estimate_refuses_products_out_of_range(sl3_triple):
         if p != 8:
             assert info.value.clause == "range"
             assert "largest |entry|" in str(info.value)
+        else:
+            # rounding gives the K part of prod xi0 det -1, so the chart
+            # read of prod xi0 has sign product -1
+            assert isinstance(info.value, OutOfDomain)
     # at power 3 every entry is finite, but rounding has lost the determinant
     with pytest.raises(HypothesisViolated, match=r"det <= 0, not 1 \(largest \|entry\| 3\.\d+e\+10, det 0"):
         product_estimate(sl3_triple, [3] * 3, xi0, sections, 0.17, 0.17, 0.5)
@@ -268,8 +273,20 @@ def test_product_estimate_refuses_products_out_of_range(sl3_triple):
     # range check
     report = product_estimate(sl3_triple, [2] * 3, xi0, sections, 0.17, 0.17, 0.5)
     assert report.product.lam.coords == pytest.approx([16.11554047, 0.35002546, -16.46556593], abs=1e-8)
-    assert report.beta_distance == pytest.approx(0.005380087433059838, rel=1e-9)
-    assert report.lox_distance == pytest.approx(0.008677833876965066, rel=1e-9)
+    assert report.beta_distance == pytest.approx(0.004125718396185929, rel=1e-9)
+    assert report.lox_distance == pytest.approx(0.0054712381472320215, rel=1e-9)
+    # the pins are those of the float product: at 60 digits, the exact
+    # Iwasawa cocycle of the exact product (the compact sections' A part)
+    # is 0.003912 from the chain, and beta_lhs reads it to 9.05e-4
+    with mpmath.workdps(60):
+        exact = mpmath.eye(3)
+        for L in sl3_triple:
+            exact = mpmath.matrix(L.g.entries.tolist()) ** 2 * exact
+        r = mpmath.qr(exact * mpmath.matrix(xi0.rep.tolist()))[1]
+        logs = [mpmath.log(abs(r[j, j])) for j in range(3)]
+        sigma = np.array([float(x - sum(logs) / 3) for x in logs])
+    assert np.linalg.norm(sigma - report.beta_chain.a.coords) == pytest.approx(0.003912, abs=1e-6)
+    assert np.abs(report.beta_lhs.a.coords - sigma).max() < 1.5e-3
 
 
 def _reference_delta(r, eps, mc_samples, seed, n, config=DEFAULT_CONFIG):

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,6 +12,7 @@ from chamberflow.flag_boundary import (
     flag_of,
     flags_equal,
     is_transverse,
+    k_iota,
     opposite_flag,
     standard_flag,
 )
@@ -24,12 +26,16 @@ from chamberflow.linalg_core import (
     random_group_element,
     random_rotation,
 )
+from chamberflow.loxodromy import _sample_k_r
 from chamberflow.sections_cocycles import (
+    Section,
+    _section_reads,
     best_section,
     cocycle,
     compact_section,
     covering_family,
     eval_section,
+    eval_sections,
     from_bh,
     iwasawa_cocycle,
     permutation_flag,
@@ -106,17 +112,128 @@ def test_transition_is_the_cocycle_at_the_identity():
         assert inside_beta == inside
         if inside:
             assert am_distance(t, beta) < 1e-12
-    # xi close to the boundary of a unipotent chart: the comparison matrix
-    # has entries up to 3e3, a diagonal down to 1e-4 and a strict lower part
-    # of 5e-11, so it is in (AM)N under the relative AM_PART_TOL test and
-    # transition accepts it as cocycle does, although the orthogonal factor
-    # of its QR is 4e-7 off diagonal
+    # xi on the chart edge of one of the two sections: both refuse
+    xi = _random_flag(rng, 3)
+    holder = unipotent_section(_random_flag(rng, 3))
+    for s, s2 in ((compact_section(xi), holder), (holder, compact_section(xi))):
+        assert not _verdict_and_value(lambda: transition(s, s2, xi))[0]
+        assert not _verdict_and_value(lambda: cocycle(s, s2, e, xi))[0]
+    assert _verdict_and_value(lambda: transition(holder, holder, xi))[0]
+    # xi close to the boundary of a unipotent chart (margin 5.4e-5): its
+    # chart pivots run from 3.8e-5 to 2.6e4, and the transition, read at
+    # xi.rep, and the cocycle at e, read at the K part of xi.rep, still
+    # agree (to 1.5e-12 here)
     rng = np.random.default_rng(0)
     base, other = _random_flag(rng, 3), _random_flag(rng, 3)
     s, s2 = unipotent_section(base), unipotent_section(other)
     xi = Flag(_rotation(_so_directions(3, 3)[0], 5e-4) @ base.rep)
     t = transition(s, s2, xi)
     assert am_distance(t, cocycle(s, s2, e, xi)) < 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_stacked_section_reads_match_one_flag_reads(n):
+    # _section_reads of a stack is the read of each flag alone, bit for
+    # bit, and is the AM part of rep^T s(xi)
+    rng = np.random.default_rng(70 + n)
+    base = _random_flag(rng, n)
+    heads = [random_rotation(rng, n) for _ in range(6)]
+    # outside the domain: on the chart edge, within tol_minor of it, and
+    # the frame of the first flag with det -1 (sign product -1)
+    near = _rotation(_so_directions(n, 1)[0], 1e-12) @ base.rep
+    flipped = heads[0] * np.r_[np.ones(n - 1), -1.0]
+    reps = np.asarray(heads + [base.rep, near, flipped])
+    # a K_r translate per flag, as delta_r_eps builds them
+    pool = np.asarray([_sample_k_r(rng, n, 0.3) for _ in range(4)])
+    translates = pool[np.arange(len(reps)) % len(pool)]
+    for kind in ("unipotent", "compact"):
+        for offset in (AMElement.identity(n), _random_am(rng, n)):
+            for translate in (None, translates):
+
+                def cut(part):
+                    return Section(kind, base, offset, None if translate is None else translate[part])
+
+                at = reps if translate is None else translate @ reps
+                logs, signs, inside = _section_reads(cut(slice(None)), at)
+                assert inside.tolist() == [True] * 6 + [False] * 3
+                for i, rep in enumerate(at):
+                    logs1, signs1, inside1 = _section_reads(cut(i), rep[np.newaxis])
+                    assert np.array_equal(logs1[0], logs[i], equal_nan=True)
+                    assert np.array_equal(signs1[0], signs[i], equal_nan=True)
+                    assert inside1[0] == inside[i]
+                # the det -1 frame is in the chart; only its signs refuse it
+                assert eval_sections(cut(slice(-1, None)), at[-1:])[1][0]
+                assert np.array_equal(logs[-1], logs[0])
+                assert np.array_equal(signs[-1], signs[0] * np.r_[np.ones(n - 1), -1.0])
+                value = eval_sections(cut(slice(6)), at[:6])[0]
+                d = np.swapaxes(at[:6], -1, -2) @ value
+                assert np.abs(np.tril(d, -1)).max() < 1e-10 * np.abs(d).max()
+                diag = np.diagonal(d, axis1=-2, axis2=-1)
+                assert np.array_equal(np.sign(diag), signs[:6])
+                assert np.allclose(np.log(np.abs(diag)), logs[:6], rtol=0.0, atol=1e-10)
+
+
+def _mp_frame(mat):
+    """The orthonormal frame of the flag of mat's columns, with the
+    triangular factor's diagonal positive, and that diagonal."""
+    q, r = mpmath.qr(mat)
+    n = mat.rows
+    signs = [1 if r[j, j] > 0 else -1 for j in range(n)]
+    frame = mpmath.matrix(n, n)
+    for i in range(n):
+        for j in range(n):
+            frame[i, j] = q[i, j] * signs[j]
+    return frame, [abs(r[j, j]) for j in range(n)]
+
+
+def _mp_section(s, rep):
+    """s(xi) at mpmath precision for the flag of the columns of rep."""
+    n = s.n
+    frame = _mp_frame(mpmath.matrix(s.base.rep.tolist()))[0]
+    j = mpmath.matrix(k_iota(n).tolist())
+    c = j * frame.T * rep
+    lower = mpmath.eye(n)
+    for k in range(n - 1):
+        for i in range(k + 1, n):
+            lower[i, k] = c[i, k] / c[k, k]
+            for m in range(k, n):
+                c[i, m] -= lower[i, k] * c[k, m]
+    value = frame * j.T * lower
+    if s.kind == "compact":
+        value = _mp_frame(value)[0]
+    return value * mpmath.matrix(s.offset.matrix().tolist())
+
+
+@pytest.mark.parametrize("kinds", [(u, v) for u in ("unipotent", "compact") for v in ("unipotent", "compact")])
+def test_cocycle_near_chart_edges_against_mpmath(kinds):
+    # rotate xi toward s0's base, or g xi toward s1's: cocycle stays within
+    # n eps kappa(g) / margin of s1(g xi)^-1 g s0(xi) at 40 digits, where
+    # margin is the smaller chart margin of the two flags
+    n, eps = 3, np.finfo(float).eps
+    rng = np.random.default_rng(31)
+    direction = _so_directions(n, 3)[0]
+    worst = 0.0
+    for t in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+        g = random_group_element(rng, n)
+        for edge in (0, 1):
+            xi = _random_flag(rng, n)
+            gxi = act(g, xi)
+            near = _rotation(direction, t) @ (xi if edge == 0 else gxi).rep
+            bases = [Flag(near), _random_flag(rng, n)][:: 1 if edge == 0 else -1]
+            s0, s1 = (Section(kind, b, _random_am(rng, n)) for kind, b in zip(kinds, bases))
+            beta = cocycle(s1, s0, g, xi)
+            with mpmath.workdps(40):
+                mg = mpmath.matrix(g.entries.tolist())
+                mxi = mpmath.matrix(xi.rep.tolist())
+                d = mpmath.inverse(_mp_section(s1, mg * mxi)) * mg * _mp_section(s0, mxi)
+                logs = [mpmath.log(abs(d[k, k])) for k in range(n)]
+                exact = np.array([float(x - sum(logs) / n) for x in logs])
+                signs = tuple(1 if d[k, k] > 0 else -1 for k in range(n))
+            assert beta.m.signs == signs
+            margin = min(boundary_margin_estimate(xi, s0.base), boundary_margin_estimate(gxi, s1.base))
+            bound = n * eps * np.linalg.cond(g.entries) / margin
+            worst = max(worst, np.abs(beta.a.coords - exact).max() / bound)
+    assert worst <= 1.0
 
 
 def test_cocycle_relation():
