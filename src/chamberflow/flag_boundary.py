@@ -77,8 +77,10 @@ def standard_flag(n: int) -> Flag:
     return Flag(np.eye(n))
 
 
+@functools.cache
 def opposite_flag(n: int) -> Flag:
-    """The flag of the antidiagonal frame, transverse to the standard one."""
+    """The flag of the antidiagonal frame, transverse to the standard one,
+    as one frozen value per n."""
     return Flag(k_iota(n))
 
 
@@ -140,7 +142,7 @@ def _pair_comparisons(pairs: list) -> np.ndarray:
 def _comparison_transverse(c: np.ndarray, config: Config) -> np.ndarray:
     """is_transverse of each pair whose comparison matrix is one of an
     (N, n, n) stack, from one stacked LU."""
-    _, _, first_fail = _lu_stack(c, config)
+    first_fail = _lu_stack(c, config)[1]
     return first_fail == c.shape[-1]
 
 
@@ -204,12 +206,6 @@ def _rotations(directions: np.ndarray, angles: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rotation(direction: np.ndarray, t: float) -> np.ndarray:
-    """exp(t * direction) for one skew-symmetric direction: the N = 1 case
-    of _rotations."""
-    return _rotations(direction[np.newaxis], np.asarray([t]))[0]
-
-
 def _comparison_margins(c: np.ndarray, config: Config) -> np.ndarray:
     """boundary_margin_estimate of each pair whose comparison matrix is one
     of an (N, n, n) stack: one stacked Bruhat factorisation and one stacked
@@ -218,7 +214,7 @@ def _comparison_margins(c: np.ndarray, config: Config) -> np.ndarray:
     invertible, so a positive margin.
     """
     n = c.shape[-1]
-    _, _, first_fail = _lu_stack(c, config)
+    first_fail = _lu_stack(c, config)[1]
     # the closed form is increasing in s_k, so its minimum is at min_k s_k;
     # s_1 = |c_11| (LAPACK's singular value of a 1 x 1 block is that, bit for bit)
     s = np.min(

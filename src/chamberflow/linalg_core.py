@@ -181,7 +181,9 @@ class AMElement:
         return self.a.n
 
     @staticmethod
+    @functools.cache
     def identity(n: int) -> "AMElement":
+        """The identity of AM, one frozen value per n."""
         return AMElement(CartanVector(np.zeros(n)), SignVector.identity(n))
 
     def __mul__(self, other: "AMElement") -> "AMElement":
@@ -295,11 +297,12 @@ def jordan_projection(g: GroupElement) -> CartanVector:
 def _lu_stack(mats: np.ndarray, config: Config):
     """Doolittle LU without pivoting of each matrix of an (N, n, n) stack.
 
-    Returns (lower, a, first_fail): the unit lower factors, the eliminated
-    matrices (upper triangle diag(m) exp(a) u_plus) and, per matrix, the
-    index of the first pivot at or below config.tol_minor relative to its
-    largest entry (n when none is). Past its first failing pivot a matrix
-    may fill with inf and nan, and its factors mean nothing.
+    Returns (a, first_fail): the eliminated matrices, whose upper triangle
+    is diag(m) exp(a) u_plus and whose strict lower triangle holds the unit
+    lower factor (_unit_lower reads it), and, per matrix, the index of the
+    first pivot at or below config.tol_minor relative to its largest entry
+    (n when none is). Past its first failing pivot a matrix may fill with
+    inf and nan, and its factors mean nothing.
     """
     a = np.array(mats, dtype=float)
     n = a.shape[-1]
@@ -313,8 +316,13 @@ def _lu_stack(mats: np.ndarray, config: Config):
     # failing one is a true (finite, nonzero) pivot
     small = np.abs(np.diagonal(a, axis1=-2, axis2=-1)) <= threshold[:, np.newaxis]
     first_fail = np.where(small.any(axis=1), small.argmax(axis=1), n)
-    lower = np.where(np.tri(n, k=-1, dtype=bool), a, np.eye(n))
-    return lower, a, first_fail
+    return a, first_fail
+
+
+def _unit_lower(a: np.ndarray) -> np.ndarray:
+    """The unit lower factors of an (N, n, n) stack that _lu_stack eliminated."""
+    n = a.shape[-1]
+    return np.where(np.tri(n, k=-1, dtype=bool), a, np.eye(n))
 
 
 def bruhat_lu(g: GroupElement, config: Config = DEFAULT_CONFIG):
@@ -323,11 +331,11 @@ def bruhat_lu(g: GroupElement, config: Config = DEFAULT_CONFIG):
     Raises NotInBigCell when a leading principal minor is below
     config.tol_minor relative to the largest entry of g.
     """
-    lower, a, first_fail = _lu_stack(g.entries[np.newaxis], config)
+    a, first_fail = _lu_stack(g.entries[np.newaxis], config)
     k = int(first_fail[0])
     if k < g.n:
         raise NotInBigCell(k, float(a[0, k, k]))
-    lower, a = lower[0], np.triu(a[0])
+    lower, a = _unit_lower(a)[0], np.triu(a[0])
     x = AMElement(CartanVector(np.log(np.abs(np.diag(a)))), SignVector(np.sign(np.diag(a))))
     u_plus = a / np.diag(a)[:, np.newaxis]
     return lower, x, u_plus

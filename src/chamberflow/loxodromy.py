@@ -5,6 +5,8 @@ product estimate for generic families.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,11 +39,10 @@ from .flag_boundary import (
     flag_distance,
     flag_distances,
     flag_of,
-    k_iota,
+    opposite_flag,
     _comparison_margins,
     _comparison_transverse,
     _pair_comparisons,
-    _rotation,
     _rotations,
     _so_directions,
     _span_flag,
@@ -215,20 +216,61 @@ DRAW_CAP = 1024   # most flags _thick_flags draws at once, so its memory stays b
 
 
 def _thick_flags(
-    rng: np.random.Generator, check: Flag, margin: float, need: int, budget: int, spare: np.ndarray, config: Config
+    draw: Callable[[int], np.ndarray],
+    check: Flag,
+    margin: float,
+    need: int,
+    budget: int,
+    spare: np.ndarray,
+    config: Config,
 ) -> tuple[np.ndarray, int]:
     """Canonical random flag representatives at boundary margin >= margin
     from check, appended to the (k, n, n) stack spare until it holds need
     of them or budget draws are spent; returns the stack and the draws
-    spent. A block of min(DRAW_CAP, max(8, 2 * shortfall), budget left)
-    draws is drawn as that many single draws are, so blocks change no flag."""
+    spent. draw(size) returns the next size canonical random rotations of
+    a stream, in blocks of min(DRAW_CAP, max(8, 2 * shortfall), budget
+    left); a block equals that many single draws, so blocks change no flag."""
     drawn = 0
     while len(spare) < need and drawn < budget:
         size = min(DRAW_CAP, max(8, 2 * (need - len(spare))), budget - drawn)
-        reps = canonicalize_rep(_random_rotations(rng, check.n, size))
+        reps = draw(size)
         drawn += size
         spare = np.concatenate([spare, reps[boundary_margins(reps, check, config) >= margin]])
     return spare, drawn
+
+
+# A run certifies at one n or a few, so 8 entries keep them all. Each entry
+# holds DRAW_CAP n x n doubles: 72 KB at n = 3 and 200 KB at n = 5, which
+# covers every certify_r_eps call of the `certify` benchmark (each spends
+# 240 draws).
+@functools.lru_cache(maxsize=8)
+def _grid_head(n: int) -> np.ndarray:
+    """The first DRAW_CAP canonical random rotations of certify_r_eps's
+    stream, default_rng(0), as one read-only stack per n."""
+    head = canonicalize_rep(_random_rotations(np.random.default_rng(0), n, DRAW_CAP))
+    head.setflags(write=False)
+    return head
+
+
+def _grid_draws(n: int) -> Callable[[int], np.ndarray]:
+    """draw(size) over certify_r_eps's stream, read forward: views of the
+    cached head first, then live draws from a default_rng(0) that has
+    skipped the head's Gaussians. A block equals as many single draws, so
+    how the reads are split changes no rotation."""
+    head, at, live = _grid_head(n), 0, None
+
+    def draw(size: int) -> np.ndarray:
+        nonlocal at, live
+        part = head[at:at + size]
+        at += size
+        if len(part) == size:
+            return part
+        if live is None:
+            live = np.random.default_rng(0)
+            live.standard_normal((len(head), n, n))  # what _random_rotations drew for the head
+        return np.concatenate([part, canonicalize_rep(_random_rotations(live, n, size - len(part)))])
+
+    return draw
 
 
 def certify_r_eps(
@@ -246,14 +288,14 @@ def certify_r_eps(
     """
     if not (0 < eps <= r):
         raise ValueError("certification requires 0 < eps <= r")
-    if grid < 100:
-        raise ValueError("grid < 100 is under-resolved")
+    if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)) or grid < 100:
+        raise ValueError(f"certify_r_eps requires an integer grid >= 100, not {grid!r}")
     margin = boundary_margin_estimate(L.attracting, L.repelling, config=config)
     if r > 0.5 * margin:
         raise CertificationFailure("i", f"r={r} > half margin {0.5 * margin:.4f}")
-    # a private stream, so the flags are drawn in blocks
-    rng, empty = np.random.default_rng(0), np.empty((0, L.g.n, L.g.n))
-    samples = _thick_flags(rng, L.repelling, eps, grid, 50 * grid, empty, config)[0][:grid]
+    # a private stream, so every call draws the same rotations
+    empty = np.empty((0, L.g.n, L.g.n))
+    samples = _thick_flags(_grid_draws(L.g.n), L.repelling, eps, grid, 50 * grid, empty, config)[0][:grid]
     if len(samples) < grid:
         raise CertificationFailure("ii", "could not populate the sample grid")
     images = canonicalize_rep(_kan_stack(L.g.entries @ samples)[0])
@@ -270,9 +312,10 @@ def certify_r_eps(
     return REpsCertificate(r, eps, max_quotient, len(samples))
 
 
-def _sample_k_r(rng: np.random.Generator, n: int, r: float) -> np.ndarray:
-    """Draw h in K_r: h maps the r-neighborhood of the boundary of
-    b(opposite standard flag) into the 2r-neighborhood.
+def _k_r_pool(rng: np.random.Generator, n: int, r: float, count: int) -> np.ndarray:
+    """Draw count elements h of K_r as one (count, n, n) stack: h maps the
+    r-neighborhood of the boundary of b(opposite standard flag) into the
+    2r-neighborhood.
 
     h = exp(t X) with X one of the unit-Frobenius skew directions and
     t <= r/2. If X has rotation angles theta_j, with sum 2 theta_j^2 = 1,
@@ -280,10 +323,14 @@ def _sample_k_r(rng: np.random.Generator, n: int, r: float) -> np.ndarray:
     every flag by at most t in the flag metric. The distance to the
     boundary is 1-Lipschitz in that metric, so a flag within r of it
     lands within 1.5r < 2r: every draw is in K_r, and none is tested.
+
+    Each draw takes its direction index, then its angle, from rng, so the
+    stream is read as one draw at a time reads it.
     """
     dirs = _so_directions(n, 12)
-    direction = dirs[rng.integers(len(dirs))]
-    return _rotation(direction, r * rng.uniform(0.0, 0.5))
+    picks = [(rng.integers(len(dirs)), rng.uniform(0.0, 0.5)) for _ in range(count)]
+    index, angle = (np.asarray(column) for column in zip(*picks))
+    return _rotations(dirs[index], r * angle)
 
 
 def delta_r_eps(
@@ -312,10 +359,13 @@ def delta_r_eps(
         raise ValueError(f"delta_r_eps requires an integer mc_samples >= 1, not {mc_samples!r}")
     if n < 2:
         raise ValueError(f"delta_r_eps requires n >= 2, not {n}")
-    rng = np.random.default_rng(seed)
-    check = Flag(k_iota(n))
-    pool = np.asarray([_sample_k_r(rng, n, r) for _ in range(min(16, max(4, mc_samples // 64)))])
+    check = opposite_flag(n)
+    pool = _k_r_pool(np.random.default_rng(seed), n, r, min(16, max(4, mc_samples // 64)))
     gauss, pert = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+
+    def draw(size: int) -> np.ndarray:
+        return canonicalize_rep(_random_rotations(gauss, n, size))
+
     dirs = _so_directions(n, 2 * (n * (n - 1) // 2))
     budget = 100 * mc_samples
     worst = 0.0
@@ -326,7 +376,7 @@ def delta_r_eps(
     spare = queue1 = queue2 = np.empty((0, n, n))
     while accepted < mc_samples:
         need = mc_samples - accepted - len(queue1)
-        spare, spent = _thick_flags(gauss, check, 3 * r, need, budget - drawn, spare, config)
+        spare, spent = _thick_flags(draw, check, 3 * r, need, budget - drawn, spare, config)
         drawn += spent
         fresh, spare = spare[:need], spare[need:]
         # xi2 at distance < eps from xi1: a rotation by t <= eps along a unit

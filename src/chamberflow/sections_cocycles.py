@@ -25,6 +25,7 @@ from .linalg_core import (
     _first_am,
     _kan_stack,
     _lu_stack,
+    _unit_lower,
     bruhat_lu,
 )
 from .flag_boundary import Flag, _comparison_margins, _comparisons, _span_flag, k_iota
@@ -87,9 +88,9 @@ def eval_sections(
         reps = np.swapaxes(s.translate, -1, -2) @ reps
     # [e](zeta): the unique u in N- with u . (standard flag) = zeta, where
     # zeta = h^T xi is the comparison of xi with the base
-    lower, _, first_fail = _lu_stack(_comparisons(reps, s.base.rep), config)
+    a, first_fail = _lu_stack(_comparisons(reps, s.base.rep), config)
     inside = first_fail == n
-    value = _base_frame(s.base) @ np.where(inside[:, np.newaxis, np.newaxis], lower, np.eye(n))
+    value = _base_frame(s.base) @ np.where(inside[:, np.newaxis, np.newaxis], _unit_lower(a), np.eye(n))
     if s.kind == "compact":
         value = _kan_stack(value)[0]
     value = value @ s.offset.matrix()
@@ -115,7 +116,7 @@ def _section_reads(s: Section, reps: np.ndarray, config: Config = DEFAULT_CONFIG
     s(xi) is rep U^-1 x (unipotent) or its K part rep sign(p) x (compact)."""
     if s.translate is not None:
         reps = np.swapaxes(s.translate, -1, -2) @ reps
-    _, a, first_fail = _lu_stack(_comparisons(reps, s.base.rep), config)
+    a, first_fail = _lu_stack(_comparisons(reps, s.base.rep), config)
     pivots = np.diagonal(a, axis1=-2, axis2=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = -np.log(np.abs(pivots)) if s.kind == "unipotent" else np.zeros(pivots.shape)

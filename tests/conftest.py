@@ -7,6 +7,7 @@ deterministic (fixed seeds, fixed parameters).
 import numpy as np
 import pytest
 
+from chamberflow.flag_boundary import _rotations
 from chamberflow.linalg_core import GroupElement, project_to_sl, random_rotation
 from chamberflow.loxodromy import classify
 from chamberflow.schottky_dynamics import build_schottky
@@ -14,6 +15,12 @@ from chamberflow.schottky_dynamics import build_schottky
 
 def rotation2(t: float) -> np.ndarray:
     return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+
+def rotation(direction: np.ndarray, t: float) -> np.ndarray:
+    """exp(t * direction) for one skew-symmetric direction: the N = 1 case
+    of flag_boundary._rotations."""
+    return _rotations(direction[np.newaxis], np.asarray([t]))[0]
 
 
 def conjugated(seed: int, diag) -> np.ndarray:

@@ -20,12 +20,13 @@ from chamberflow.flag_boundary import (
     opposite_flag,
     standard_flag,
     _comparisons,
-    _rotation,
     _rotations,
     _so_directions,
 )
 from chamberflow.linalg_core import Config, DEFAULT_CONFIG, GroupElement, random_group_element, random_rotation
 from chamberflow.sections_cocycles import compact_section, eval_sections
+
+from conftest import rotation
 
 
 def test_canonical_representative_has_unit_determinant():
@@ -48,7 +49,7 @@ def test_flags_equal_near_a_canonicalisation_tie():
     c = 1 / np.sqrt(2.0)
     r = np.array([[c, -c, 0.0], [c, c, 0.0], [0.0, 0.0, 1.0]])
     x = _so_directions(3, 3)[0]
-    xi, eta = (Flag(_rotation(x, t) @ r) for t in (1e-15, -1e-15))
+    xi, eta = (Flag(rotation(x, t) @ r) for t in (1e-15, -1e-15))
     assert flag_distance(xi, eta) < 1e-14
     assert np.abs(xi.rep - eta.rep).max() > 1.0
     assert flags_equal(xi, eta)
@@ -310,7 +311,7 @@ def test_stacked_rotations_match_one_at_a_time(n):
     angles = rng.uniform(-1.0, 1.0, size=40)
     angles[[0, 17]] = 0.0
     turns = _rotations(directions, angles)
-    one_at_a_time = np.asarray([_rotation(x, t) for x, t in zip(directions, angles)])
+    one_at_a_time = np.asarray([rotation(x, t) for x, t in zip(directions, angles)])
     assert turns.tobytes() == one_at_a_time.tobytes()
     assert (turns[[0, 17]] == np.eye(n)).all()
     assert np.abs(np.swapaxes(turns, 1, 2) @ turns - np.eye(n)).max() < 1e-14

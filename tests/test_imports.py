@@ -5,9 +5,10 @@ top-level function or class is used somewhere in the library, every
 public top-level function is read by the library or named by the
 benchmark, apart from a short allowlist with a reason for each entry, no
 module-level name is bound to a mutable dict, list or set (caches go
-through functools.cache), the library reads no NumPy name that
-NumPy 1.24, the declared floor, lacks, no random stream is rewound
-by assigning its bit generator's state, no module imports SciPy
+through functools.cache), every functools.cache or lru_cache function
+returns an immutable value at n = 2, 3 and 4, the library reads no
+NumPy name that NumPy 1.24, the declared floor, lacks, no random stream
+is rewound by assigning its bit generator's state, no module imports SciPy
 outside a function or class body, so that importing the package and its
 CLI loads no SciPy module (nor do `decompose --kind jordan`, `delta_r_eps`
 at n = 4, the word routines at n = 3 or the density routines), only
@@ -22,13 +23,19 @@ outside `flags_equal` no comparison takes a `flag_distance` or
 `flag_distances` call as an operand."""
 
 import ast
+import functools
+import importlib
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import types
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "chamberflow"
@@ -118,7 +125,6 @@ UNREACHED_PUBLIC = {
     "cocycle_via_jordan": "the exact-formula oracle the criterion 4 acceptance test compares cocycle against",
     "component_label_transport": "the paper's label transport, for the end-to-end mixing report of ROADMAP.md",
     "standard_flag": "flag API: the flag of the standard basis",
-    "opposite_flag": "flag API: the flag transverse to the standard one",
 }
 
 
@@ -208,6 +214,104 @@ def test_the_check_sees_a_module_level_container():
         "class K:\n    attr = []\n"
     )
     assert _module_level_containers(tree) == ["A (line 1)", "B (line 2)", "C (line 3)", "F (line 7)", "G (line 10)"]
+
+
+CACHE_DECORATORS = {"functools.cache", "functools.lru_cache", "cache", "lru_cache"}
+# the arguments after n of each cached function that takes more than n
+CACHE_ARGS = {"_so_directions": (12,), "_sweep_schedule": (3, 1)}
+IMMUTABLE_TYPES = (type(None), int, float, complex, str, bytes, range, slice, np.generic)
+
+
+def _cached_functions(tree):
+    """Qualified names (name, or Class.name) of the functions in tree with
+    a functools.cache or lru_cache decorator."""
+    found = []
+
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                ast.unparse(d.func if isinstance(d, ast.Call) else d) in CACHE_DECORATORS
+                for d in node.decorator_list
+            ):
+                found.append(prefix + node.name)
+
+    visit(tree.body, "")
+    return found
+
+
+def _mutable_parts(value, path="result"):
+    """Paths to the parts of value a caller could change: writable arrays,
+    dataclasses that are not frozen, and anything but tuples, frozensets and
+    scalars; tuples, frozensets and frozen dataclasses are searched."""
+    if isinstance(value, np.ndarray):
+        return [] if not value.flags.writeable else [f"{path} is a writable array"]
+    if isinstance(value, IMMUTABLE_TYPES):
+        return []
+    if isinstance(value, (tuple, frozenset)):
+        return [part for i, item in enumerate(value) for part in _mutable_parts(item, f"{path}[{i}]")]
+    if is_dataclass(value) and not isinstance(value, type):
+        if not type(value).__dataclass_params__.frozen:
+            return [f"{path} is a dataclass that is not frozen"]
+        return [part for f in fields(value) for part in _mutable_parts(getattr(value, f.name), f"{path}.{f.name}")]
+    return [f"{path} is a {type(value).__name__}"]
+
+
+def _mutable_cache_results(modules):
+    """module.function(args): part, for each part of a cached function's
+    value at n = 2, 3, 4 that a caller could change; modules maps a module
+    name to its (source, module object)."""
+    found = []
+    for name, (source, module) in modules.items():
+        for qualname in _cached_functions(ast.parse(source)):
+            fn = functools.reduce(getattr, qualname.split("."), module)
+            for n in (2, 3, 4):
+                args = (n, *CACHE_ARGS.get(qualname, ()))
+                found += [f"{name}.{qualname}{args}: {part}" for part in _mutable_parts(fn(*args))]
+    return found
+
+
+def test_cached_values_are_immutable():
+    modules = {
+        path.stem: (path.read_text(), importlib.import_module(f"chamberflow.{path.stem}"))
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    cached = {f"{name}.{q}" for name, (source, _) in modules.items() for q in _cached_functions(ast.parse(source))}
+    assert {"linalg_core.AMElement.identity", "flag_boundary.opposite_flag", "loxodromy._grid_head"} <= cached
+    assert _mutable_cache_results(modules) == []
+
+
+def test_the_check_sees_a_writable_cached_value():
+    source = (
+        "import functools\n"
+        "from dataclasses import dataclass\n"
+        "import numpy as np\n\n"
+        "@dataclass(frozen=True)\nclass Box:\n    arr: np.ndarray\n\n"
+        "@functools.cache\ndef table(n):\n    return np.zeros(n)\n\n"
+        "@functools.lru_cache(maxsize=2)\ndef sealed(n):\n"
+        "    out = np.zeros(n)\n    out.setflags(write=False)\n    return (out, Box(out), n)\n\n"
+        "@functools.cache\ndef boxed(n):\n    return Box(np.zeros(n))\n\n"
+        "class K:\n    @staticmethod\n    @functools.cache\n    def listed(n):\n        return (n, [n])\n"
+    )
+    module = types.ModuleType("planted")
+    exec(compile(source, "planted", "exec"), module.__dict__)
+    assert _cached_functions(ast.parse(source)) == ["table", "sealed", "boxed", "K.listed"]
+    assert _mutable_cache_results({"planted": (source, module)}) == [
+        f"planted.{where}: {part}"
+        for where, part in [
+            ("table(2,)", "result is a writable array"),
+            ("table(3,)", "result is a writable array"),
+            ("table(4,)", "result is a writable array"),
+            ("boxed(2,)", "result.arr is a writable array"),
+            ("boxed(3,)", "result.arr is a writable array"),
+            ("boxed(4,)", "result.arr is a writable array"),
+            ("K.listed(2,)", "result[1] is a list"),
+            ("K.listed(3,)", "result[1] is a list"),
+            ("K.listed(4,)", "result[1] is a list"),
+        ]
+    ]
 
 
 # names NumPy added in 2.0, at the top level and in numpy.linalg

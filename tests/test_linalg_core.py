@@ -12,6 +12,7 @@ from chamberflow.linalg_core import (
     _cartan_normal_form,
     _kan_stack,
     _lu_stack,
+    _unit_lower,
     am_distance,
     bruhat_lu,
     cartan_kak,
@@ -258,7 +259,8 @@ def test_stacked_lu_matches_the_per_matrix_loop(n):
         mat = rng.standard_normal((n, n))
         mat[k, : k + 1] = rng.standard_normal(k) @ mat[:k, : k + 1] if k else 0.0
         mats.append(mat)
-    lower, a, first_fail = _lu_stack(np.asarray(mats), DEFAULT_CONFIG)
+    a, first_fail = _lu_stack(np.asarray(mats), DEFAULT_CONFIG)
+    lower = _unit_lower(a)
     for i, mat in enumerate(mats):
         ref_lower, ref_upper, failure = _reference_lu(mat, DEFAULT_CONFIG.tol_minor)
         if failure is None:

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import mpmath
 import numpy as np
@@ -15,10 +16,10 @@ from chamberflow.errors import (
 )
 from chamberflow.flag_boundary import (
     Flag,
-    _rotation,
     _so_directions,
     act,
     boundary_margin_estimate,
+    canonicalize_rep,
     flag_distance,
     flags_equal,
     is_transverse,
@@ -26,7 +27,15 @@ from chamberflow.flag_boundary import (
     opposite_flag,
     standard_flag,
 )
-from chamberflow.linalg_core import AMElement, Config, DEFAULT_CONFIG, GroupElement, am_distance, random_rotation
+from chamberflow.linalg_core import (
+    AMElement,
+    Config,
+    DEFAULT_CONFIG,
+    GroupElement,
+    _random_rotations,
+    am_distance,
+    random_rotation,
+)
 from chamberflow.loxodromy import (
     REpsCertificate,
     certify_r_eps,
@@ -38,11 +47,13 @@ from chamberflow.loxodromy import (
     product_estimate,
     ratio,
     ratio_at,
-    _sample_k_r,
+    _grid_draws,
+    _grid_head,
+    _k_r_pool,
 )
 from chamberflow.sections_cocycles import Section, cocycle, compact_section
 
-from conftest import conjugated, rotation2
+from conftest import conjugated, rotation, rotation2
 
 
 def test_classify_diagonal_element():
@@ -137,6 +148,57 @@ def test_certification_parameter_validation():
         certify_r_eps(L, 0.1, 0.3)  # eps > r
     with pytest.raises(ValueError):
         certify_r_eps(L, 0.3, 0.3, grid=50)  # under-resolved grid
+    # a grid that is not an integer is refused by name, before any draw
+    for grid in (150.5, np.float64(150.0), True, "120"):
+        with pytest.raises(ValueError, match=re.escape(f"requires an integer grid >= 100, not {grid!r}")):
+            certify_r_eps(L, 0.3, 0.3, grid=grid)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_cached_grid_blocks_are_the_fresh_stream(n):
+    # certify_r_eps reads default_rng(0)'s canonical rotations from a cached
+    # read-only head, and past it from a generator that skipped the head
+    head = _grid_head(n)
+    assert not head.flags.writeable
+    budget = 50 * 100
+    fresh = canonicalize_rep(_random_rotations(np.random.default_rng(0), n, budget))
+    # the first block alone, top-ups inside the head, and a top-up past it
+    for sizes in ([240], [240, 16, 8], [len(head) - 5, 30, 8]):
+        draw = _grid_draws(n)
+        blocks = [draw(size) for size in sizes]
+        assert [len(block) for block in blocks] == sizes
+        assert np.array_equal(np.concatenate(blocks), fresh[: sum(sizes)])
+    # the budget refusal: no flag is 10 from the boundary, so all 50 * grid
+    # draws are spent
+    draw, blocks = _grid_draws(n), []
+
+    def recorded(size):
+        blocks.append(draw(size))
+        return blocks[-1]
+
+    empty = np.empty((0, n, n))
+    spare, drawn = loxodromy._thick_flags(recorded, opposite_flag(n), 10.0, 100, budget, empty, DEFAULT_CONFIG)
+    assert (len(spare), drawn) == (0, budget)
+    assert np.array_equal(np.concatenate(blocks), fresh)
+
+
+def test_a_second_certify_call_draws_no_gaussian(monkeypatch):
+    calls = []
+    real = loxodromy._random_rotations
+
+    def counted(rng, n, count):
+        calls.append(count)
+        return real(rng, n, count)
+
+    monkeypatch.setattr(loxodromy, "_random_rotations", counted)
+    _grid_head.cache_clear()
+    L = classify(GroupElement(np.diag([100.0, 0.01])))
+    first = certify_r_eps(L, 0.3, 0.3)
+    assert calls == [loxodromy.DRAW_CAP]  # the head, drawn once
+    # later calls at n = 2, on any element, read the cached head
+    assert certify_r_eps(L, 0.3, 0.3) == first
+    certify_r_eps(power(L, 2), 0.3, 0.3)
+    assert calls == [loxodromy.DRAW_CAP]
 
 
 def test_equicontinuity_estimate_is_deterministic():
@@ -167,8 +229,7 @@ def test_k_r_draws_keep_the_boundary_neighbourhood(n, r):
             if len(near) == 12:
                 break
     assert len(near) == 12
-    for _ in range(12):
-        h = _sample_k_r(rng, n, r)
+    for h in _k_r_pool(rng, n, r, 12):
         for xi in near:
             moved = Flag(h @ xi.rep)
             assert flag_distance(moved, xi) <= 0.5 * r + 1e-12
@@ -289,6 +350,27 @@ def test_product_estimate_refuses_products_out_of_range(sl3_triple):
     assert np.abs(report.beta_lhs.a.coords - sigma).max() < 1.5e-3
 
 
+def _sample_k_r(rng, n, r):
+    """One K_r draw, as delta_r_eps drew its pool before the pool was one
+    stacked _rotations call: a direction index, then an angle."""
+    dirs = _so_directions(n, 12)
+    direction = dirs[rng.integers(len(dirs))]
+    return rotation(direction, r * rng.uniform(0.0, 0.5))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stacked_k_r_pool_matches_the_per_sample_loop(n):
+    # n != 3 takes _rotations' eigh path, n = 3 its Rodrigues path
+    for seed, r, count in [(0, 0.15, 4), (5, 0.3, 16), (9, 0.05, 7)]:
+        loop, stacked = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = np.asarray([_sample_k_r(loop, n, r) for _ in range(count)])
+        pool = _k_r_pool(stacked, n, r, count)
+        assert pool.shape == (count, n, n)
+        assert np.array_equal(pool, expected)
+        # the pool leaves the stream where the loop leaves it
+        assert stacked.random() == loop.random()
+
+
 def _reference_delta(r, eps, mc_samples, seed, n, config=DEFAULT_CONFIG):
     """delta_r_eps as a loop over Flag objects that draws one sample at a
     time from the same streams; returns (estimate, pairs out of domain)."""
@@ -311,7 +393,7 @@ def _reference_delta(r, eps, mc_samples, seed, n, config=DEFAULT_CONFIG):
         s = Section("compact", check, identity, pool[accepted % len(pool)])
         u = pert.random(2)
         direction = dirs[int(u[0] * len(dirs))]
-        xi2 = Flag(_rotation(direction, eps * (0.2 + 0.8 * u[1])) @ xi1.rep)
+        xi2 = Flag(rotation(direction, eps * (0.2 + 0.8 * u[1])) @ xi1.rep)
         try:
             value = ratio(s, s, check, xi1, xi2, config)
         except OutOfDomain:

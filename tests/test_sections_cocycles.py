@@ -5,7 +5,6 @@ import pytest
 from chamberflow.errors import OutOfDomain
 from chamberflow.flag_boundary import (
     Flag,
-    _rotation,
     _so_directions,
     act,
     boundary_margin_estimate,
@@ -26,7 +25,7 @@ from chamberflow.linalg_core import (
     random_group_element,
     random_rotation,
 )
-from chamberflow.loxodromy import _sample_k_r
+from chamberflow.loxodromy import _k_r_pool
 from chamberflow.sections_cocycles import (
     Section,
     _section_reads,
@@ -43,6 +42,8 @@ from chamberflow.sections_cocycles import (
     transition,
     unipotent_section,
 )
+
+from conftest import rotation
 
 
 def _random_flag(rng, n):
@@ -126,7 +127,7 @@ def test_transition_is_the_cocycle_at_the_identity():
     rng = np.random.default_rng(0)
     base, other = _random_flag(rng, 3), _random_flag(rng, 3)
     s, s2 = unipotent_section(base), unipotent_section(other)
-    xi = Flag(_rotation(_so_directions(3, 3)[0], 5e-4) @ base.rep)
+    xi = Flag(rotation(_so_directions(3, 3)[0], 5e-4) @ base.rep)
     t = transition(s, s2, xi)
     assert am_distance(t, cocycle(s, s2, e, xi)) < 1e-9
 
@@ -140,11 +141,11 @@ def test_stacked_section_reads_match_one_flag_reads(n):
     heads = [random_rotation(rng, n) for _ in range(6)]
     # outside the domain: on the chart edge, within tol_minor of it, and
     # the frame of the first flag with det -1 (sign product -1)
-    near = _rotation(_so_directions(n, 1)[0], 1e-12) @ base.rep
+    near = rotation(_so_directions(n, 1)[0], 1e-12) @ base.rep
     flipped = heads[0] * np.r_[np.ones(n - 1), -1.0]
     reps = np.asarray(heads + [base.rep, near, flipped])
     # a K_r translate per flag, as delta_r_eps builds them
-    pool = np.asarray([_sample_k_r(rng, n, 0.3) for _ in range(4)])
+    pool = _k_r_pool(rng, n, 0.3, 4)
     translates = pool[np.arange(len(reps)) % len(pool)]
     for kind in ("unipotent", "compact"):
         for offset in (AMElement.identity(n), _random_am(rng, n)):
@@ -218,7 +219,7 @@ def test_cocycle_near_chart_edges_against_mpmath(kinds):
         for edge in (0, 1):
             xi = _random_flag(rng, n)
             gxi = act(g, xi)
-            near = _rotation(direction, t) @ (xi if edge == 0 else gxi).rep
+            near = rotation(direction, t) @ (xi if edge == 0 else gxi).rep
             bases = [Flag(near), _random_flag(rng, n)][:: 1 if edge == 0 else -1]
             s0, s1 = (Section(kind, b, _random_am(rng, n)) for kind, b in zip(kinds, bases))
             beta = cocycle(s1, s0, g, xi)
